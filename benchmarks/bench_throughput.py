@@ -17,13 +17,14 @@ inputs and asserting the outputs match:
 * **link discovery** — ``RegionLinkDiscoverer.discover`` per-fix
   (``vectorized=False``) vs the batched mask-prune + cell-grouped
   refinement path, asserting identical link sets and prune verdicts.
-* **sharded** — a keyed windowing pipeline on the single-shard oracle
-  vs ``N_SHARDS`` key-partitioned replicas (``repro.streams.sharding``),
-  asserting the canonically merged outputs are identical. The gated
-  speedup is the *critical-path* ratio ``sum(shard walls) / max(shard
-  walls)`` — the factor an N-core schedule of these shards gains, which
-  is runner-independent (it measures routing balance, not how many
-  cores the CI box happens to have).
+* **sharded** — the in-process ``ShardedRealtimeLayer`` on the
+  ``n_shards=1`` oracle vs ``N_SHARDS`` entity-partitioned replicas,
+  asserting the reports and canonically merged topic streams are
+  identical. The gated speedup is the *critical-path* ratio
+  ``sum(shard walls) / max(shard walls)`` — the factor an N-core
+  schedule of these shards gains, which is runner-independent (it
+  measures routing balance, not how many cores the CI box happens to
+  have).
 * **sharded observability** — the distributed obs plane over a full
   ``ShardedRealtimeLayer`` run: the folded parent registry's aggregate
   counters must equal the single-shard oracle's exactly, every merged
@@ -59,19 +60,7 @@ from repro.kgstore import KGStore, STConstraint, star
 from repro.obs import MetricsRegistry, harvest_obs
 from repro.rdf import A, VOC, var
 from repro.rdf.rdfizers import raw_fix_rdfizer, synopses_rdfizer
-from repro.streams import (
-    Broker,
-    Map,
-    Pipeline,
-    Record,
-    ShardedPipeline,
-    ShardWorkerPool,
-    TumblingWindow,
-    WatermarkAssigner,
-    mean_aggregate,
-    merge_shard_outputs,
-    run_sharded,
-)
+from repro.streams import Broker, Record
 from repro.synopses import SynopsesGenerator
 
 from _tables import format_table
@@ -99,9 +88,7 @@ def _provenance() -> dict:
         "workload_scale": {
             "broker_records": N_RECORDS,
             "sharded_shards": N_SHARDS,
-            "pool_rounds": POOL_ROUNDS,
-            "pool_round_records": POOL_ROUND_RECORDS,
-            "pool_warmup_rounds": POOL_WARMUP_ROUNDS,
+            "sharded_vessels": SHARD_VESSELS,
         },
     }
 
@@ -433,52 +420,53 @@ def test_linkdiscovery_vectorized(linkdiscovery_workload, console, benchmark, em
     emit_metrics(registry, benchmark, title="link discovery (batched mask-prune + refine)")
 
 
-# -- sharded substrate: single-shard oracle vs N keyed shards ----------------------
+# -- sharded real-time layer: single-shard oracle vs N entity shards -----------------
 
 N_SHARDS = 4
-SHARD_WINDOW_S = 60.0
-SHARD_OOO_S = 120.0
+SHARD_VESSELS = 80
+SHARD_HOURS = 1.0
 
 
-def _shard_stage_pipeline() -> Pipeline:
-    """One replica of the bench workload: a map stage into keyed windows."""
-    return Pipeline(
-        [Map(lambda v: v * 2 + 1), TumblingWindow(SHARD_WINDOW_S, mean_aggregate)],
-        name="bench.sharded",
+def _shard_fixes() -> list:
+    sim = AISSimulator(
+        n_vessels=SHARD_VESSELS, seed=13, config=AISConfig(report_period_s=10.0)
     )
+    return list(sim.fixes(0.0, SHARD_HOURS * 3600.0))
 
 
-def _shard_assigner() -> WatermarkAssigner:
-    return WatermarkAssigner(out_of_orderness_s=SHARD_OOO_S)
-
-
-def _canonical(records: list[Record]) -> list[tuple]:
-    return [(r.t, r.key, r.value) for r in records]
+def _topic_streams(layer: ShardedRealtimeLayer) -> dict[str, list[tuple]]:
+    out = {}
+    for topic in layer.broker.topics():
+        consumer = layer.broker.consumer(topic.name, "bench-dump")
+        records = []
+        while batch := consumer.poll():
+            records.extend(batch)
+        out[topic.name] = [(r.t, r.key) for r in records]
+    return out
 
 
 def test_sharded_pipeline_throughput(console, benchmark, emit_metrics):
-    records = _make_records(N_RECORDS)
+    fixes = _shard_fixes()
     single_times: list[float] = []
     speedups: list[float] = []
     shard_walls: list[float] = []
     for _ in range(3):
-        single = _shard_stage_pipeline()
-        out_base = single.run(records, watermarks=_shard_assigner(), flush=True)
-        single_times.append(single.wall_seconds)
-        sharded = ShardedPipeline(
-            _shard_stage_pipeline, N_SHARDS, watermark_factory=_shard_assigner
-        )
-        out_sharded = sharded.run_to_end(records)
+        oracle = ShardedRealtimeLayer(SystemConfig(n_shards=1))
+        oracle.run(fixes)
+        single_times.append(oracle.shard_walls()[0])
+        sharded = ShardedRealtimeLayer(SystemConfig(n_shards=N_SHARDS))
+        sharded.run(fixes)
         # The N-shard merge must reproduce the single-shard oracle exactly.
-        assert _canonical(out_sharded) == _canonical(merge_shard_outputs([out_base]))
+        assert sharded.report == oracle.report
+        assert _topic_streams(sharded) == _topic_streams(oracle)
         speedups.append(sharded.critical_path_speedup())
-        shard_walls = sharded.wall_seconds()
+        shard_walls = sharded.shard_walls()
     single_s = statistics.median(single_times)
     speedup = statistics.median(speedups)
     _RESULTS["sharded"] = {
-        "records": N_RECORDS,
+        "fixes": len(fixes),
         "shards": N_SHARDS,
-        "keys": N_KEYS,
+        "entities": SHARD_VESSELS,
         "single_wall_s": single_s,
         "shard_walls_s": shard_walls,
         "critical_path_s": max(shard_walls),
@@ -486,135 +474,25 @@ def test_sharded_pipeline_throughput(console, benchmark, emit_metrics):
     }
     path = _persist()
     registry = MetricsRegistry()
-    registry.gauge("throughput.sharded.single_records_s").set(N_RECORDS / single_s)
+    registry.gauge("throughput.sharded.single_records_s").set(len(fixes) / single_s)
     registry.gauge("throughput.sharded.critical_path_records_s").set(
-        N_RECORDS / max(shard_walls)
+        len(fixes) / max(shard_walls)
     )
     registry.gauge("throughput.sharded.speedup").set(speedup)
     with console():
         print(format_table(
-            f"Sharded windowing, {N_RECORDS:,} keyed records over {N_SHARDS} shards",
-            ["path", "wall", "records/s"],
+            f"Sharded real-time layer, {len(fixes):,} fixes over {N_SHARDS} shards",
+            ["path", "wall", "fixes/s"],
             [
-                ["single shard (oracle)", f"{single_s * 1e3:.0f} ms", f"{N_RECORDS / single_s:,.0f}"],
-                ["slowest of 4 shards", f"{max(shard_walls) * 1e3:.0f} ms", f"{N_RECORDS / max(shard_walls):,.0f}"],
+                ["single shard (oracle)", f"{single_s * 1e3:.0f} ms", f"{len(fixes) / single_s:,.0f}"],
+                ["slowest of 4 shards", f"{max(shard_walls) * 1e3:.0f} ms", f"{len(fixes) / max(shard_walls):,.0f}"],
             ],
             width=22,
         ))
         print(f"critical-path speedup: {speedup:.2f}x  -> {path.name}")
     assert speedup > 2.0, f"sharded critical path only {speedup:.2f}x the aggregate"
-    benchmark(lambda: ShardedPipeline(
-        _shard_stage_pipeline, N_SHARDS, watermark_factory=_shard_assigner
-    ).run_to_end(records))
-    emit_metrics(registry, benchmark, title="sharded substrate (critical-path balance)")
-
-
-# -- worker pool: steady-state repeated runs vs fork-per-run -----------------------
-
-POOL_ROUNDS = 8
-POOL_ROUND_RECORDS = 2_000
-POOL_WARMUP_ROUNDS = 2
-
-
-def _pool_round_records(round_idx: int) -> list[Record]:
-    base = round_idx * POOL_ROUND_RECORDS
-    rng = random.Random(1_000 + round_idx)
-    keys = [f"vessel-{i:03d}" for i in range(N_KEYS)]
-    return [
-        Record(float(base + i), base + i, key=keys[rng.randrange(N_KEYS)])
-        for i in range(POOL_ROUND_RECORDS)
-    ]
-
-
-def test_pool_steadystate_throughput(console, benchmark, emit_metrics):
-    """N repeated incremental requests: the persistent pool keeps the
-    replica state alive between rounds, so serving round ``i`` is one
-    batched IPC exchange over the new chunk only. The stateless
-    fork-per-run twin must spawn fresh workers, rebuild the replicas,
-    and reprocess the whole prefix to answer the same request. Both
-    paths get POOL_WARMUP_ROUNDS untimed rounds; the pool rounds are
-    byte-identical to an in-process sequential oracle fed the same
-    chunks, and the final cumulative streams of the two timed paths
-    must agree."""
-    rounds = [_pool_round_records(i) for i in range(POOL_WARMUP_ROUNDS + POOL_ROUNDS)]
-    fork_times: list[float] = []
-    fork_out: list[Record] = []
-    prefix: list[Record] = []
-    for i, chunk in enumerate(rounds):
-        prefix = prefix + chunk
-        start = perf_counter()
-        fork_out = run_sharded(
-            _shard_stage_pipeline, prefix, N_SHARDS,
-            watermark_factory=_shard_assigner, parallel=True,
-        )
-        elapsed = perf_counter() - start
-        if i >= POOL_WARMUP_ROUNDS:
-            fork_times.append(elapsed)
-    pool_times: list[float] = []
-    pool_out: list[Record] = []
-    oracle = ShardedPipeline(
-        _shard_stage_pipeline, N_SHARDS, watermark_factory=_shard_assigner
-    )
-    with ShardWorkerPool(
-        _shard_stage_pipeline, N_SHARDS, watermark_factory=_shard_assigner
-    ) as pool:
-        for i, chunk in enumerate(rounds):
-            start = perf_counter()
-            out = pool.run(chunk)
-            elapsed = perf_counter() - start
-            # Determinism: every pooled round matches the in-process oracle.
-            assert _canonical(out) == _canonical(oracle.run(chunk))
-            pool_out.extend(out)
-            if i >= POOL_WARMUP_ROUNDS:
-                pool_times.append(elapsed)
-        tail = pool.finish()
-        assert _canonical(tail) == _canonical(oracle.finish())
-        pool_out.extend(tail)
-        setup_s = sum(pool.setup_seconds())
-    # Both timed paths describe the same cumulative stream.
-    assert sorted(_canonical(pool_out)) == sorted(_canonical(fork_out))
-    fork_s = statistics.median(fork_times)
-    pool_s = statistics.median(pool_times)
-    speedup = fork_s / pool_s
-    _RESULTS["pool"] = {
-        "shards": N_SHARDS,
-        "rounds": POOL_ROUNDS,
-        "round_records": POOL_ROUND_RECORDS,
-        "warmup_rounds": POOL_WARMUP_ROUNDS,
-        "fork_per_run": {"round_s": fork_s, "final_prefix_records": len(prefix)},
-        "steadystate": {
-            "round_s": pool_s,
-            "records_s": POOL_ROUND_RECORDS / pool_s,
-            "speedup": speedup,
-        },
-        "setup_s": setup_s,
-    }
-    path = _persist()
-    registry = MetricsRegistry()
-    registry.gauge("throughput.pool.fork_per_run_round_s").set(fork_s)
-    registry.gauge("throughput.pool.steadystate.round_s").set(pool_s)
-    registry.gauge("throughput.pool.steadystate.speedup").set(speedup)
-    with console():
-        print(format_table(
-            f"Worker pool steady state, {POOL_ROUNDS} rounds x "
-            f"{POOL_ROUND_RECORDS:,} new records over {N_SHARDS} shards",
-            ["path", "round wall", "per-request rate"],
-            [
-                ["fork per request", f"{fork_s * 1e3:.1f} ms", f"{POOL_ROUND_RECORDS / fork_s:,.0f}"],
-                ["persistent pool", f"{pool_s * 1e3:.1f} ms", f"{POOL_ROUND_RECORDS / pool_s:,.0f}"],
-            ],
-            width=22,
-        ))
-        print(f"steady-state speedup: {speedup:.2f}x  -> {path.name}")
-    assert speedup > 2.0, f"pool steady state only {speedup:.2f}x fork-per-run"
-    with ShardWorkerPool(
-        _shard_stage_pipeline, N_SHARDS, watermark_factory=_shard_assigner
-    ) as bench_pool:
-        benchmark(lambda: run_sharded(
-            _shard_stage_pipeline, rounds[-1], N_SHARDS,
-            watermark_factory=_shard_assigner, pool=bench_pool,
-        ))
-        emit_metrics(registry, benchmark, title="worker pool (steady-state runs)")
+    benchmark(lambda: ShardedRealtimeLayer(SystemConfig(n_shards=N_SHARDS)).run(fixes))
+    emit_metrics(registry, benchmark, title="sharded real-time layer (critical-path balance)")
 
 
 # -- distributed obs plane: merged harvest vs the single-shard oracle --------------
@@ -686,7 +564,8 @@ def test_sharded_observability(console, benchmark, emit_metrics):
         ))
         print(f"harvest lossless over {len(merged)} families  -> {path.name}")
     # The hot path the plane adds per run: one replica's full harvest.
+    replica = layer.shards[0].layer
     benchmark(lambda: harvest_obs(
-        0, layer.shards[0].metrics, layer.shards[0].events, layer.shards[0].tracer
+        0, replica.metrics, replica.events, replica.tracer
     ))
     emit_metrics(layer.metrics, benchmark, title="sharded observability (merged harvest)")

@@ -14,18 +14,14 @@ convention load-bearing:
 * an ``Operator`` subclass overriding ``on_batch`` must keep a scalar
   ``on_record`` in the same class and be named by at least one test
   that drives the batched path (``process_batch`` / ``on_batch``);
-* the same discipline for the sharded substrate's twins: a function
-  with a ``parallel=`` parameter must branch on it (the sequential
-  in-process twin still exists) and be named by a test exercising
-  ``parallel=False``, and anything taking ``n_shards`` must be named
-  by a test that also constructs the ``n_shards=1`` single-shard
-  oracle — the equivalence baseline sharded runs are checked against;
-* the same again for the persistent worker pool: a function with a
-  ``pool=`` parameter must branch on it (the poolless twin still
-  exists) and be named by a test exercising ``pool=None``, and one
-  with ``worker_pool=`` must branch on it and be named by a test
-  exercising ``worker_pool=False`` — the in-process replicas are the
-  determinism oracle the pool-backed path is checked against;
+* the same discipline for sharded execution: anything taking
+  ``n_shards`` must be named by a test that also constructs the
+  ``n_shards=1`` single-shard oracle — the equivalence baseline sharded
+  runs are checked against — and a function with a ``worker_pool=``
+  parameter must branch on it (the in-process replica twin still
+  exists) and be named by a test exercising ``worker_pool=False`` —
+  the in-process replicas are the determinism oracle the pooled path
+  is checked against;
 * in subpackages that opt in via ``[dual_path]
   batch_suffix_packages`` in ``tools/layering.toml`` (the geo and
   link-discovery kernel layers), every public ``*_batch``
@@ -64,7 +60,6 @@ class DualPathChecker(Checker):
             findings.extend(self._vectorized_functions(source, tests))
             findings.extend(self._batched_operators(source, tests, parents))
             findings.extend(self._sharded_symbols(source, tests))
-            findings.extend(self._pool_symbols(source, tests))
             findings.extend(self._batch_suffix_functions(source, tests, all_defs, config))
         return findings
 
@@ -186,7 +181,7 @@ class DualPathChecker(Checker):
                     symbol=f"{source.module}.{symbol}",
                 )
 
-    # -- sharded twins (parallel= runners, n_shards oracles) -----------------------
+    # -- sharded twins (n_shards oracles, worker_pool= replicas) -----------------
 
     def _sharded_symbols(self, source: SourceFile, tests: list[SourceFile]):
         for node in ast.walk(source.tree):
@@ -197,31 +192,6 @@ class DualPathChecker(Checker):
             owner = self._enclosing_class(source, node)
             symbol = f"{owner}.{node.name}" if owner else node.name
             anchor = owner or node.name
-            if "parallel" in arg_names:
-                if not self._branches_on(node, "parallel"):
-                    yield self.finding(
-                        "error",
-                        source.relpath,
-                        node.lineno,
-                        node.col_offset,
-                        f"{symbol}() takes parallel= but never branches on it — "
-                        f"the sequential in-process twin (the determinism "
-                        f"oracle) is gone",
-                        symbol=f"{source.module}.{symbol}",
-                    )
-                elif not any(
-                    anchor in t.text and "parallel=False" in t.text for t in tests
-                ):
-                    yield self.finding(
-                        "error",
-                        source.relpath,
-                        node.lineno,
-                        node.col_offset,
-                        f"{symbol}() has a process-parallel fast path but no "
-                        f"test references {anchor} with parallel=False — the "
-                        f"sequential/parallel equivalence is unverified",
-                        symbol=f"{source.module}.{symbol}",
-                    )
             if "n_shards" in arg_names:
                 if not any(
                     anchor in t.text and "n_shards=1" in t.text for t in tests
@@ -234,46 +204,6 @@ class DualPathChecker(Checker):
                         f"{symbol}() takes n_shards but no test references "
                         f"{anchor} alongside the n_shards=1 single-shard "
                         f"oracle — the shard-merge equivalence is unverified",
-                        symbol=f"{source.module}.{symbol}",
-                    )
-
-    # -- worker-pool twins -------------------------------------------------------
-
-    def _pool_symbols(self, source: SourceFile, tests: list[SourceFile]):
-        """``pool=`` / ``worker_pool=`` call sites must keep their in-process
-        twin (the determinism oracle) and a named equivalence test — the
-        worker-pool analogue of the ``parallel=``/``n_shards`` rules."""
-        for node in ast.walk(source.tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            args = node.args
-            arg_names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
-            owner = self._enclosing_class(source, node)
-            symbol = f"{owner}.{node.name}" if owner else node.name
-            anchor = owner or node.name
-            if "pool" in arg_names:
-                if not self._branches_on(node, "pool"):
-                    yield self.finding(
-                        "error",
-                        source.relpath,
-                        node.lineno,
-                        node.col_offset,
-                        f"{symbol}() takes pool= but never branches on it — "
-                        f"the poolless in-process twin (the determinism "
-                        f"oracle) is gone",
-                        symbol=f"{source.module}.{symbol}",
-                    )
-                elif not any(
-                    anchor in t.text and "pool=None" in t.text for t in tests
-                ):
-                    yield self.finding(
-                        "error",
-                        source.relpath,
-                        node.lineno,
-                        node.col_offset,
-                        f"{symbol}() has a worker-pool fast path but no test "
-                        f"references {anchor} with pool=None — the "
-                        f"pool/sequential equivalence is unverified",
                         symbol=f"{source.module}.{symbol}",
                     )
             if "worker_pool" in arg_names:

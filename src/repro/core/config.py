@@ -31,18 +31,20 @@ class SystemConfig:
     proximity_time_s: float = 300.0
     grid_cell_deg: float = 0.5
     seed: int = 7
-    #: Shards of the sharded execution substrate: >= 2 partitions the fix
-    #: stream by entity across independent real-time replicas with
-    #: partition-local state (see repro.streams.sharding); 1 keeps the
-    #: single-shard path — the determinism/equivalence oracle.
+    #: Shards of the sharded real-time layer (repro.core.sharded): >= 2
+    #: partitions the fix stream by entity across independent real-time
+    #: replicas with partition-local state; 1 keeps the single-shard path —
+    #: the determinism/equivalence oracle. Only ShardedRealtimeLayer reads
+    #: this, worker_pool and worker_request_timeout_s; DatacronSystem
+    #: always builds the plain RealtimeLayer and ignores all three.
     n_shards: int = 1
-    #: Host shard replicas in long-lived worker processes
-    #: (repro.streams.workers) instead of in-process: replicas are built
-    #: once and served batched run requests over IPC, amortizing
-    #: startup across runs. False keeps the in-process replicas — the
-    #: determinism/equivalence oracle for the pool path.
+    #: Host ShardedRealtimeLayer's replicas in long-lived worker processes
+    #: (repro.core.sharded over repro.streams.workers) instead of
+    #: in-process: replicas are built once and served batched run requests
+    #: over IPC. False keeps the in-process replicas — the
+    #: determinism/equivalence oracle for the pooled path.
     worker_pool: bool = False
-    #: Reply deadline (seconds) for worker-pool IPC: a hung-but-alive
+    #: Reply deadline (seconds) for a pooled shard worker: a hung-but-alive
     #: worker surfaces as ShardWorkerDied after this long instead of
     #: blocking the parent forever. None = unbounded waits.
     worker_request_timeout_s: float | None = 300.0

@@ -1,8 +1,8 @@
 """Sharded real-time layer: N entity-partitioned Figure-2 replicas.
 
-The multi-core deployment of :class:`~repro.core.realtime.RealtimeLayer`
-on the sharded execution substrate (``repro.streams.sharding``): the
-surveillance stream is partitioned by ``entity_id`` across
+The multi-core deployment of :class:`~repro.core.realtime.RealtimeLayer`:
+the surveillance stream is partitioned by ``entity_id``
+(``repro.streams.sharding.shard_index``) across
 ``SystemConfig.n_shards`` full replicas, each owning partition-local
 state for every per-entity stage (cleaning, in-situ area events,
 synopses, region/port link discovery, weather enrichment). Stages whose
@@ -16,11 +16,18 @@ state spans entities cannot be partitioned that way and run once, on the
 * **the dashboard** — one situational picture over all entities.
 
 The merge is canonical: per-shard topic streams are combined with the
-substrate's ``(t, key)`` stable merge, so the merged stream — and
+``(t, key)`` stable merge (``merge_shard_outputs``), so the merged stream — and
 therefore every global stage and the merged broker topics — is
 *identical* for ``n_shards=1`` and ``n_shards=N``. The single-shard run
 is the equivalence oracle, exactly as ``vectorized=False`` is for the
 columnar fast path; the shard-equivalence tests drive both.
+
+Replicas live in-process (the default) or each in a long-lived worker
+process (``worker_pool=True``, hosted by
+:class:`repro.streams.workers.WorkerHost`). Both are served by the same
+:class:`_RealtimeShardSpec` and answer each run with the same response,
+so one code path records, folds and merges them; the in-process layer is
+the determinism oracle for the pooled one.
 
 Observability: each shard's counters surface as ``shard.<i>.*`` gauges
 on the layer-wide registry, next to a ``shard.count`` and a
@@ -31,12 +38,11 @@ the routing-balance number the sharded throughput floor gates).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from time import perf_counter
+from time import perf_counter, time as wall_clock
 from typing import Any, Iterable
 
 from ..cep import TURN_ALPHABET, WayebEngine, north_to_south_reversal, turn_event_stream
 from ..geo import PositionFix
-from ..insitu import QualityReport
 from ..linkdiscovery import MovingProximityDiscoverer
 from ..obs import (
     EventLog,
@@ -90,8 +96,9 @@ def _drain_all(consumer: Consumer) -> list[Record]:
 
 @dataclass(slots=True)
 class _RealtimeReplica:
-    """Worker-side state of one pooled shard: the live replica layer, its
-    merge consumers, and the delta-harvest bookkeeping."""
+    """One shard's live state: the replica layer, its merge consumers, and
+    the delta-harvest bookkeeping. Lives in the parent process when the
+    replicas are in-process, inside the worker when they are pooled."""
 
     layer: RealtimeLayer
     consumers: dict[str, Consumer]
@@ -101,16 +108,17 @@ class _RealtimeReplica:
 
 @dataclass(frozen=True, slots=True)
 class _RealtimeShardSpec:
-    """Picklable recipe for a pooled :class:`RealtimeLayer` shard replica.
+    """Picklable recipe for one :class:`RealtimeLayer` shard replica.
 
-    Hosted by :class:`repro.streams.workers.WorkerHost`: only the
-    :class:`SystemConfig` crosses the process boundary — the replica and
-    everything stateful is built inside the worker, once, and served
-    repeated ``("run", fixes)`` requests. Each response ships the
-    shard's cumulative report, that run's new topic records (drained
-    through worker-local merge consumers, exactly like the in-process
-    path's long-lived consumer groups) and the per-run delta
-    :class:`~repro.obs.ObsHarvest`.
+    Serves both replica homes. In-process, the layer calls :meth:`setup`
+    and :meth:`handle` directly; pooled, a
+    :class:`repro.streams.workers.WorkerHost` ships the spec to its worker
+    once, at spawn (only the :class:`SystemConfig` crosses the process
+    boundary), and the worker calls the same two methods. Each
+    ``("run", fixes)`` response carries the shard's cumulative report and
+    run wall, that run's new topic records (drained through
+    replica-local merge consumers, whose group offsets make repeated runs
+    see only new records) and the per-run delta :class:`~repro.obs.ObsHarvest`.
     """
 
     config: SystemConfig
@@ -156,8 +164,9 @@ class ShardedRealtimeLayer:
     Drop-in for :class:`RealtimeLayer` where it matters downstream: after
     :meth:`run`, :attr:`broker` holds the five Figure-2 topics with the
     canonically merged streams (the batch layer consumes them unchanged),
-    :attr:`report` holds layer-wide counters, and :attr:`metrics` /
-    :meth:`system_metrics` expose the shard-annotated observability view.
+    :attr:`report` holds layer-wide counters, cumulative across runs like
+    the plain layer's, and :attr:`metrics` / :meth:`system_metrics` expose
+    the shard-annotated observability view.
     """
 
     def __init__(
@@ -177,10 +186,6 @@ class ShardedRealtimeLayer:
         self.metrics = MetricsRegistry(seed=cfg.seed)
         self.events = EventLog(capacity=cfg.event_log_capacity)
         self.tracer = Tracer()
-        # Last full (cumulative) harvest per shard: shard replicas live
-        # in-process across runs, so each run folds only the *delta*.
-        # (Pooled replicas track this worker-side and ship deltas back.)
-        self._prev_harvests: list[ObsHarvest | None] = [None] * self.n_shards
         # The merged broker: what the batch layer and the dashboard read.
         self.broker = Broker()
         for topic in _ALL_TOPICS:
@@ -188,36 +193,27 @@ class ShardedRealtimeLayer:
         instrument_broker(self.broker, self.metrics)
         watch_broker(self.broker, self.events)
         # Replicas own every per-entity stage; proximity is global (below).
-        self.shards: list[RealtimeLayer] = []
+        # In-process they sit in self.shards; pooled, each lives in the
+        # worker behind self._hosts[i]. One spec serves both.
+        self._spec = _RealtimeShardSpec(cfg)
+        self.shards: list[_RealtimeReplica] = []
         self._hosts: list[WorkerHost] | None = None
-        self._setup_s = [0.0] * self.n_shards
-        # Parent-side mirror of the pooled shards' cumulative accounting
-        # (reports and walls live inside the workers); unused in-process.
-        self._pool_reports = [RealtimeReport() for _ in range(self.n_shards)]
-        self._pool_walls = [0.0] * self.n_shards
         if self.use_worker_pool:
-            spec = _RealtimeShardSpec(cfg)
             self._hosts = [
                 WorkerHost(
-                    spec, i, request_timeout_s=cfg.worker_request_timeout_s
+                    self._spec, i, request_timeout_s=cfg.worker_request_timeout_s
                 )
                 for i in range(self.n_shards)
             ]
             self._setup_s = [host.setup_s for host in self._hosts]
         else:
-            for _ in range(self.n_shards):
-                t0 = perf_counter()
-                self.shards.append(RealtimeLayer(cfg, enable_proximity=False))
-                self._setup_s[len(self.shards) - 1] = perf_counter() - t0
-        # Group offsets live on the Consumer object, not in the broker, so
-        # the merge consumers must be long-lived for repeated runs to only
-        # merge (and re-publish, and dashboard-ingest) new records. Pooled
-        # replicas keep the equivalent consumers inside their workers.
-        self._merge_consumers = {
-            (i, topic): shard.broker.consumer(topic, "merge")
-            for i, shard in enumerate(self.shards)
-            for topic in _ALL_TOPICS
-        }
+            self.shards = [self._spec.setup(i) for i in range(self.n_shards)]
+            self._setup_s = [replica.setup_s for replica in self.shards]
+        # Each shard's cumulative report and run wall, as of its last response.
+        self._shard_reports = [RealtimeReport() for _ in range(self.n_shards)]
+        self._shard_walls = [0.0] * self.n_shards
+        # The global stages' counters, cumulative across runs.
+        self._global = RealtimeReport()
         self.proximity = MovingProximityDiscoverer(
             cfg.bbox, cfg.proximity_space_m, cfg.proximity_time_s,
             cell_deg=cfg.grid_cell_deg, registry=self.metrics,
@@ -262,15 +258,11 @@ class ShardedRealtimeLayer:
 
     def shard_reports(self) -> list[RealtimeReport]:
         """Per-shard cumulative reports, wherever the replicas live."""
-        if self._hosts is not None:
-            return list(self._pool_reports)
-        return [s.report for s in self.shards]
+        return list(self._shard_reports)
 
     def shard_walls(self) -> list[float]:
         """Per-shard cumulative run walls (replica setup excluded)."""
-        if self._hosts is not None:
-            return list(self._pool_walls)
-        return [s.metrics.gauge("realtime.wall_s").value() for s in self.shards]
+        return list(self._shard_walls)
 
     def shard_setups(self) -> list[float]:
         """Per-shard replica build seconds — the one-off cost the worker
@@ -294,21 +286,44 @@ class ShardedRealtimeLayer:
         return shard_index(entity_id, self.n_shards)
 
     def run(self, fixes: Iterable[PositionFix]) -> RealtimeReport:
-        """Route, run every replica, then merge and run the global stages."""
-        from time import perf_counter, time as wall_clock
+        """Route, run every replica, then merge and run the global stages.
 
+        A replica failure propagates: a dead or hung pooled worker raises
+        :class:`~repro.streams.workers.ShardWorkerDied` naming its shard,
+        and the layer is then unusable — :meth:`close` reaps the rest.
+        """
         self.events.emit("info", "realtime", "sharded_run_started", shards=self.n_shards)
         routed: list[list[PositionFix]] = [[] for _ in range(self.n_shards)]
         for fix in fixes:
             routed[self.shard_for(fix.entity_id)].append(fix)
         if self._hosts is not None:
-            merged = self._run_pooled(routed)
+            # Scatter every frame before gathering any: the workers compute
+            # concurrently and the parent waits for the slowest.
+            for host, sub_stream in zip(self._hosts, routed):
+                host.send(("run", sub_stream))
+            responses = [host.receive() for host in self._hosts]
         else:
-            for shard, sub_stream in zip(self.shards, routed):
-                shard.run(sub_stream)
-            self._fold_shard_obs()
-            merged = self._merge_topics()
-        report = self._merged_report()
+            responses = [
+                self._spec.handle(i, replica, ("run", sub_stream))
+                for i, (replica, sub_stream) in enumerate(zip(self.shards, routed))
+            ]
+        for i, resp in enumerate(responses):
+            self._shard_reports[i] = resp["report"]
+            self._shard_walls[i] = resp["wall_s"]
+        # Counters land under shard.<i>.* and as merged families (exactly
+        # the n_shards=1 oracle's); shard events merge by wall time,
+        # shard-tagged; shard traces hang under one sharded.run root.
+        fold_harvests(
+            self.metrics,
+            [resp["harvest"] for resp in responses],
+            events=self.events,
+            tracer=self.tracer,
+        )
+        merged = {
+            topic: merge_shard_outputs([resp["topics"][topic] for resp in responses])
+            for topic in _ALL_TOPICS
+        }
+        glob = self._global
         # The merged-stream consumer is where the paper's headline number
         # lives on the sharded path: ingest wall stamp (record provenance,
         # written by the shard replica) to merged consumption.
@@ -326,8 +341,7 @@ class ShardedRealtimeLayer:
             t0 = perf_counter()
             links = self.proximity.process(rec.value.fix)
             prox_probe.observe(len(links), perf_counter() - t0)
-            report.proximity_links += len(links)
-            report.links += len(links)
+            glob.proximity_links += len(links)
             for link in links:
                 merged[TOPIC_LINKS].append(
                     Record(link.t, link, key=link.source_id, ingest_wall_s=rec.ingest_wall_s)
@@ -345,8 +359,8 @@ class ShardedRealtimeLayer:
                     perf_counter() - t0,
                     n_in=len(cep_events),
                 )
-                report.cep_detections += len(run.detections)
-                report.cep_forecasts += len(run.forecasts)
+                glob.cep_detections += len(run.detections)
+                glob.cep_forecasts += len(run.forecasts)
                 for det in run.detections:
                     merged[TOPIC_EVENTS].append(Record(det.t, det))
                     self.dashboard.ingest_alert(det.t, "NorthToSouthReversal")
@@ -357,7 +371,7 @@ class ShardedRealtimeLayer:
         for topic, records in merged.items():
             if records:
                 self.broker.publish_many(topic, records)
-        self.report = report
+        report = self.report = self._merged_report()
         self.health.evaluate()
         self.events.emit(
             "info", "realtime", "sharded_run_finished",
@@ -366,34 +380,10 @@ class ShardedRealtimeLayer:
         )
         return report
 
-    def _run_pooled(self, routed: list[list[PositionFix]]) -> dict[str, list[Record]]:
-        """Scatter one batched frame per shard worker, gather, fold, merge.
-
-        Each response carries the shard's new topic records and a per-run
-        delta harvest — folded here exactly as :meth:`_fold_shard_obs`
-        folds the in-process replicas' deltas, so the merged counters
-        match the oracle's byte for byte.
-        """
-        assert self._hosts is not None
-        for host, sub_stream in zip(self._hosts, routed):
-            host.send(("run", sub_stream))
-        responses = [host.receive() for host in self._hosts]
-        deltas: list[ObsHarvest] = []
-        for i, resp in enumerate(responses):
-            self._pool_reports[i] = resp["report"]
-            self._pool_walls[i] = resp["wall_s"]
-            deltas.append(resp["harvest"])
-        fold_harvests(self.metrics, deltas, events=self.events, tracer=self.tracer)
-        return {
-            topic: merge_shard_outputs([resp["topics"][topic] for resp in responses])
-            for topic in _ALL_TOPICS
-        }
-
     def close(self) -> None:
         """Shut pooled shard workers down cleanly (no-op in-process)."""
-        if self._hosts is not None:
-            for host in self._hosts:
-                host.close()
+        for host in self._hosts or ():
+            host.close()
 
     def __enter__(self) -> "ShardedRealtimeLayer":
         return self
@@ -401,55 +391,22 @@ class ShardedRealtimeLayer:
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
 
-    def _fold_shard_obs(self) -> None:
-        """Harvest every replica's obs state and fold it into the layer.
-
-        Counters land under ``shard.<i>.*`` and as merged aggregate
-        families (exactly equal to the ``n_shards=1`` oracle's); shard
-        events merge into :attr:`events` by wall timestamp, shard-tagged;
-        shard traces are re-parented under one synthetic ``sharded.run``
-        root in :attr:`tracer`. Replicas are long-lived, so each run
-        folds the delta against the previous harvest — repeated runs
-        accumulate instead of double-counting.
-        """
-        deltas: list[ObsHarvest] = []
-        for i, shard in enumerate(self.shards):
-            current = harvest_obs(
-                i,
-                shard.metrics,
-                shard.events,
-                shard.tracer,
-                wall_seconds=shard.metrics.gauge("realtime.wall_s").value(),
-                setup_seconds=self._setup_s[i],
-            )
-            deltas.append(current.delta(self._prev_harvests[i]))
-            self._prev_harvests[i] = current
-        fold_harvests(self.metrics, deltas, events=self.events, tracer=self.tracer)
-
     def critical_path_speedup(self) -> float:
         """Aggregate shard compute over the slowest shard (cumulative run
         walls; replica setup is tracked apart, see :meth:`shard_setups`)."""
         return critical_path_speedup(self.shard_walls())
 
-    def _merge_topics(self) -> dict[str, list[Record]]:
-        """Canonically merge every shard topic: the ``(t, key)`` stable merge.
-
-        Reads through a dedicated consumer group, so repeated runs only
-        merge what the previous merge has not consumed.
-        """
-        merged: dict[str, list[Record]] = {}
-        for topic in _ALL_TOPICS:
-            per_shard = [
-                _drain_all(self._merge_consumers[i, topic])
-                for i in range(self.n_shards)
-            ]
-            merged[topic] = merge_shard_outputs(per_shard)
-        return merged
-
     def _merged_report(self) -> RealtimeReport:
-        """Layer-wide counters: per-entity stages summed across shards."""
-        report = RealtimeReport()
-        quality = QualityReport()
+        """Layer-wide counters: per-entity stages summed across shards, plus
+        the global stages' cumulative counts."""
+        glob = self._global
+        report = RealtimeReport(
+            links=glob.proximity_links,
+            proximity_links=glob.proximity_links,
+            cep_detections=glob.cep_detections,
+            cep_forecasts=glob.cep_forecasts,
+        )
+        quality = report.quality
         for r in self.shard_reports():
             report.raw_fixes += r.raw_fixes
             report.clean_fixes += r.clean_fixes
@@ -460,7 +417,6 @@ class ShardedRealtimeLayer:
             quality.passed += r.quality.passed
             for issue, count in r.quality.flagged.items():
                 quality.flagged[issue] = quality.flagged.get(issue, 0) + count
-        report.quality = quality
         return report
 
     def system_metrics(self) -> dict[str, Any]:

@@ -9,7 +9,8 @@ typology of Andrienko et al. (paper's reference [5]):
 * non-monotonic or duplicate timestamps per entity,
 * physically impossible implied speed (teleport outliers),
 * implausible reported speed for the entity class,
-* stale duplicates (same position re-broadcast after a long time).
+* stale duplicates (same position re-broadcast after a long time),
+* non-finite fields (NaN or infinite time, position or kinematics).
 
 Each check flags rather than silently drops; the cleaning operator then
 drops flagged fixes and counts them, so quality metrics stay observable
@@ -18,6 +19,7 @@ drops flagged fixes and counts them, so quality metrics stay observable
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -25,6 +27,7 @@ from ..geo import PositionFix
 from ..streams import KeyedProcess
 
 #: Issue labels attached to fixes.
+ISSUE_NON_FINITE = "non_finite_field"
 ISSUE_COORD_RANGE = "coord_out_of_range"
 ISSUE_TIME_ORDER = "non_monotonic_time"
 ISSUE_DUPLICATE_TIME = "duplicate_timestamp"
@@ -32,6 +35,7 @@ ISSUE_IMPLIED_SPEED = "impossible_implied_speed"
 ISSUE_REPORTED_SPEED = "implausible_reported_speed"
 
 ALL_ISSUES = (
+    ISSUE_NON_FINITE,
     ISSUE_COORD_RANGE,
     ISSUE_TIME_ORDER,
     ISSUE_DUPLICATE_TIME,
@@ -85,13 +89,31 @@ class QualityReport:
         return self.dropped / self.seen if self.seen else 0.0
 
 
+def _all_finite(fix: PositionFix) -> bool:
+    """Whether every numeric field of the fix (missing kinematics aside) is finite."""
+    isfinite = math.isfinite
+    return (
+        isfinite(fix.t)
+        and isfinite(fix.lon)
+        and isfinite(fix.lat)
+        and isfinite(fix.alt)
+        and (fix.speed is None or isfinite(fix.speed))
+        and (fix.heading is None or isfinite(fix.heading))
+        and (fix.vrate is None or isfinite(fix.vrate))
+    )
+
+
 def check_fix(fix: PositionFix, state: QualityState, config: QualityConfig) -> list[str]:
     """All quality issues of one fix, given the per-entity state.
 
     The state is updated only by :func:`clean_stream` / the operator after
     deciding whether the fix survives, so a rejected outlier does not poison
-    the implied-speed baseline for subsequent good fixes.
+    the implied-speed baseline for subsequent good fixes. A fix with a
+    non-finite field is flagged :data:`ISSUE_NON_FINITE` alone, before any
+    arithmetic: no other check means anything for it.
     """
+    if not _all_finite(fix):
+        return [ISSUE_NON_FINITE]
     issues: list[str] = []
     lon_lo, lon_hi = config.lon_range
     lat_lo, lat_hi = config.lat_range

@@ -23,8 +23,6 @@ from .harvest import (
     HistogramSnapshot,
     MetricsSnapshot,
     ObsHarvest,
-    ShardObsWorker,
-    ShardedObsPlane,
     fold_harvests,
     harvest_obs,
     merge_histogram_snapshots,
@@ -63,8 +61,6 @@ __all__ = [
     "ObsHarvest",
     "OperatorProbe",
     "SEVERITIES",
-    "ShardObsWorker",
-    "ShardedObsPlane",
     "Span",
     "Tracer",
     "consumer_lags",

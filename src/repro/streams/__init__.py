@@ -10,18 +10,9 @@ from .join import Enriched, TemporalLookupJoin
 from .operators import Filter, FlatMap, KeyBy, KeyedProcess, LatencyProbe, Map, MapBatch, Operator, Peek, Union
 from .pipeline import Pipeline, WatermarkAssigner, drain_consumer, merge_by_time, publish_all, records_from_values
 from .record import Record, StreamElement, StreamStats, Watermark
-from .sharding import (
-    ShardedBroker,
-    ShardedPipeline,
-    ShardRouter,
-    critical_path_speedup,
-    drain_sharded,
-    merge_shard_outputs,
-    run_sharded,
-    shard_index,
-)
+from .sharding import critical_path_speedup, merge_shard_outputs, shard_index
 from .windows import SlidingWindow, TumblingWindow, WindowResult, count_aggregate, mean_aggregate
-from .workers import ShardWorkerDied, ShardWorkerError, ShardWorkerPool, WorkerHost
+from .workers import ShardWorkerDied, ShardWorkerError, WorkerHost
 
 __all__ = [
     "Broker",
@@ -38,12 +29,8 @@ __all__ = [
     "Peek",
     "Pipeline",
     "Record",
-    "ShardRouter",
     "ShardWorkerDied",
     "ShardWorkerError",
-    "ShardWorkerPool",
-    "ShardedBroker",
-    "ShardedPipeline",
     "SlidingWindow",
     "WorkerHost",
     "StreamElement",
@@ -60,12 +47,10 @@ __all__ = [
     "count_aggregate",
     "critical_path_speedup",
     "drain_consumer",
-    "drain_sharded",
     "mean_aggregate",
     "merge_by_time",
     "merge_shard_outputs",
     "publish_all",
     "records_from_values",
-    "run_sharded",
     "shard_index",
 ]

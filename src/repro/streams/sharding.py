@@ -1,74 +1,28 @@
-"""Sharded execution substrate: N broker/pipeline replicas behind one facade.
+"""Shard routing and merge primitives for entity-partitioned execution.
 
-ROADMAP item 1: the broker and the pipeline runner are single-threaded,
-so Figure-2 throughput is capped by one core. This module partitions a
-stream *by key* across ``n_shards`` independent shards — each shard is a
-full :class:`~repro.streams.broker.Broker` / :class:`~repro.streams.pipeline.Pipeline`
-replica with partition-local operator state (KeyBy, windows, CEP
-automata, per-entity predictors all key their state, so a key never
-needs to see another shard) — and merges per-shard outputs and
-watermarks back into one deterministic stream.
+The sharded Figure-2 deployment (:mod:`repro.core.sharded`) partitions a
+stream *by key* across ``n_shards`` replicas with partition-local state
+and merges their outputs back into one deterministic stream. This module
+holds the three primitives it is built from:
 
-Correctness story (the same twin discipline as ``vectorized=False``):
-
-* **routing** — a key is assigned to ``fnv1a(key) % n_shards``, the same
-  deterministic hash topics use for partitions; keyless records
-  round-robin. All records of one key land on one shard, so every keyed
+* **routing** — :func:`shard_index` assigns a key to
+  ``fnv1a(key) % n_shards``, the same deterministic hash topics use for
+  partitions. All records of one key land on one shard, so every keyed
   operator sees exactly the per-key subsequence it would see unsharded.
-* **incremental runs** — each shard advances through a sequence of
-  ``flush=False`` pipeline runs (one per poll); the stream-closing final
-  watermark is emitted once per shard, at :meth:`ShardedPipeline.finish`.
-  A shard merge is exactly a sequence of incremental runs, which is why
-  the poll-boundary watermark semantics fixed in ``drain_consumer`` are
-  the prerequisite for this module.
-* **min-watermark merge** — the merged stream's event-time progress is
-  ``min`` over the shards' assigner watermarks
-  (:meth:`ShardedPipeline.min_watermark`), the standard multi-input
-  alignment rule; merged outputs are ordered by ``(t, key)`` with each
-  shard's per-key order preserved (stable sort), which reproduces the
-  single-shard emission order for keyed outputs.
-* **oracle** — ``n_shards=1`` routes everything to replica 0 in arrival
-  order, so the single-shard path *is* the unsharded pipeline; the
-  equivalence tests drive both and assert identical output.
-
-Execution is either in-process (sequential, the deterministic oracle)
-or process-parallel (:func:`run_sharded`'s ``parallel=True``), which
-forks one worker per shard via ``multiprocessing`` — shards share
-nothing, so the outputs are identical, only the wall clock changes.
+* **merge** — :func:`merge_shard_outputs` orders per-shard outputs by
+  ``(t, key)`` with each shard's per-key order preserved (stable sort),
+  which reproduces the single-shard emission order; ``n_shards=1`` is
+  therefore the equivalence oracle for every ``n_shards=N`` run.
+* **balance** — :func:`critical_path_speedup` rates how evenly the
+  routing spread the work.
 """
 
 from __future__ import annotations
 
-import math
-from time import perf_counter
-from typing import Any, Callable, Iterable, Sequence
+from typing import Sequence
 
-from .broker import Broker, Consumer, Topic, _stable_hash
-from .pipeline import Pipeline, WatermarkAssigner
-from .record import Record, StreamElement, Watermark
-
-#: Builds one fresh pipeline replica; must be a module-level callable for
-#: the process-parallel path (workers rebuild their replica, nothing with
-#: operator state ever crosses the process boundary).
-PipelineFactory = Callable[[], Pipeline]
-
-#: Builds one fresh watermark assigner per shard (or None for none).
-AssignerFactory = Callable[[], WatermarkAssigner]
-
-# The observability plane (``obs=`` on ShardedPipeline / run_sharded) is
-# duck-typed on purpose: the layering DAG forbids streams -> obs (obs
-# instruments streams from the outside), so this module only relies on
-# the protocol below — implemented by repro.obs.harvest.ShardedObsPlane:
-#
-#   obs.worker                      picklable per-shard recipe, with
-#     .setup(shard, pipeline) -> s    shard-local obs state (parent or worker
-#                                     process; instruments the replica)
-#     .harvest(shard, s, wall,        picklable harvest of that state;
-#              setup_seconds=...)       replica build cost rides beside the
-#                                       wall, never inside it
-#   obs.fold(harvests)              parent-side merge, called once per run
-#
-# Only ``obs.worker`` ever crosses the fork boundary.
+from .broker import _stable_hash
+from .record import Record
 
 
 def critical_path_speedup(walls: Sequence[float]) -> float:
@@ -89,39 +43,6 @@ def shard_index(key: str, n_shards: int) -> int:
     return _stable_hash(key) % n_shards
 
 
-class ShardRouter:
-    """Routes stream elements to shards: keyed by hash, keyless round-robin.
-
-    Watermarks are *broadcast* — event-time progress is global, every
-    shard must observe it or its windows would never close.
-    """
-
-    def __init__(self, n_shards: int):
-        if n_shards < 1:
-            raise ValueError("a sharded stream needs at least one shard")
-        self.n_shards = n_shards
-        self._keyless = 0
-
-    def shard_for(self, record: Record) -> int:
-        """The shard one record lands on (advances the round-robin cursor)."""
-        if record.key is not None:
-            return shard_index(record.key, self.n_shards)
-        shard = self._keyless % self.n_shards
-        self._keyless += 1
-        return shard
-
-    def route(self, elements: Iterable[StreamElement]) -> list[list[StreamElement]]:
-        """Split an element stream into per-shard streams, order-preserving."""
-        shards: list[list[StreamElement]] = [[] for _ in range(self.n_shards)]
-        for el in elements:
-            if isinstance(el, Watermark):
-                for shard in shards:
-                    shard.append(el)
-            else:
-                shards[self.shard_for(el)].append(el)
-        return shards
-
-
 def merge_shard_outputs(per_shard: Sequence[list[Record]]) -> list[Record]:
     """Merge per-shard output lists into one ``(t, key)``-ordered stream.
 
@@ -134,319 +55,3 @@ def merge_shard_outputs(per_shard: Sequence[list[Record]]) -> list[Record]:
     merged = [record for outputs in per_shard for record in outputs]
     merged.sort(key=lambda r: (r.t, r.key or ""))
     return merged
-
-
-class ShardedBroker:
-    """N independent brokers with key-routed topics.
-
-    Topics exist on every shard; publishing routes each record to the
-    shard its key hashes to (keyless records round-robin per topic).
-    Consumers are per shard — a group drains shard-local logs with
-    shard-local offsets, which is what gives operators state locality.
-    """
-
-    def __init__(self, n_shards: int):
-        if n_shards < 1:
-            raise ValueError("a sharded broker needs at least one shard")
-        self.n_shards = n_shards
-        self.shards = [Broker() for _ in range(n_shards)]
-        self._keyless: dict[str, int] = {}
-
-    def create_topic(self, name: str, partitions: int = 1, retention: int | None = None) -> list[Topic]:
-        """Create the topic on every shard; returns the per-shard topics."""
-        return [b.create_topic(name, partitions=partitions, retention=retention) for b in self.shards]
-
-    def topics_named(self, name: str) -> list[Topic]:
-        """The per-shard replicas of one topic."""
-        return [b.topic(name) for b in self.shards]
-
-    def publish(self, topic_name: str, record: Record) -> int:
-        """Publish one record to the shard its key routes to; returns the shard."""
-        shard = self._route(topic_name, record)
-        self.shards[shard].topic(topic_name).publish(record)
-        return shard
-
-    def publish_many(self, topic_name: str, records: Iterable[Record]) -> list[int]:
-        """Batch publish with one routing pass; returns per-shard counts."""
-        per_shard: list[list[Record]] = [[] for _ in range(self.n_shards)]
-        for record in records:
-            per_shard[self._route(topic_name, record)].append(record)
-        for shard, batch in enumerate(per_shard):
-            if batch:
-                self.shards[shard].topic(topic_name).publish_many(batch)
-        return [len(batch) for batch in per_shard]
-
-    def consumers(self, topic_name: str, group: str) -> list[Consumer]:
-        """One consumer per shard for ``group`` on the named topic."""
-        return [b.consumer(topic_name, group) for b in self.shards]
-
-    def size(self, topic_name: str) -> int:
-        """Total retained messages of a topic across all shards."""
-        return sum(t.size() for t in self.topics_named(topic_name))
-
-    def _route(self, topic_name: str, record: Record) -> int:
-        if record.key is not None:
-            return shard_index(record.key, self.n_shards)
-        cursor = self._keyless.get(topic_name, 0)
-        self._keyless[topic_name] = cursor + 1
-        return cursor % self.n_shards
-
-
-class ShardedPipeline:
-    """N pipeline replicas with per-shard watermarks and a merged output.
-
-    Built from factories so every shard owns fresh operator state. Runs
-    are incremental: each :meth:`run` call is a ``flush=False`` pipeline
-    run per shard (the poll-boundary semantics), and :meth:`finish`
-    closes every shard — final watermark, then operator flush — and
-    returns the merged tail. :meth:`run_to_end` is the one-shot
-    convenience combining both.
-    """
-
-    def __init__(
-        self,
-        factory: PipelineFactory,
-        n_shards: int,
-        watermark_factory: AssignerFactory | None = None,
-        obs: Any = None,
-    ):
-        if n_shards < 1:
-            raise ValueError("a sharded pipeline needs at least one shard")
-        self.n_shards = n_shards
-        self.router = ShardRouter(n_shards)
-        self.obs = obs  # duck-typed observability plane, see module comment
-        self.pipelines: list[Pipeline] = []
-        self.assigners: list[WatermarkAssigner] | None = (
-            [] if watermark_factory is not None else None
-        )
-        self._shard_obs: list[Any] | None = [] if obs is not None else None
-        self._setup_s: list[float] = []
-        for shard in range(n_shards):
-            t0 = perf_counter()
-            pipeline = factory()
-            self.pipelines.append(pipeline)
-            if self.assigners is not None:
-                self.assigners.append(watermark_factory())
-            if self._shard_obs is not None:
-                self._shard_obs.append(obs.worker.setup(shard, pipeline))
-            self._setup_s.append(perf_counter() - t0)
-        self._finished = False
-
-    def run(self, elements: Iterable[StreamElement], batch_size: int | None = None) -> list[Record]:
-        """One incremental increment: route, run each shard ``flush=False``, merge."""
-        if self._finished:
-            raise RuntimeError("sharded pipeline already finished")
-        per_shard: list[list[Record]] = []
-        for shard, shard_elements in enumerate(self.router.route(elements)):
-            assigner = self.assigners[shard] if self.assigners is not None else None
-            per_shard.append(
-                self.pipelines[shard].run(
-                    shard_elements, watermarks=assigner, flush=False, batch_size=batch_size
-                )
-            )
-        return merge_shard_outputs(per_shard)
-
-    def finish(self) -> list[Record]:
-        """Close every shard: final watermark, operator flush, merged tail."""
-        if self._finished:
-            raise RuntimeError("sharded pipeline already finished")
-        self._finished = True
-        per_shard: list[list[Record]] = []
-        for shard, pipeline in enumerate(self.pipelines):
-            out: list[Record] = []
-            if self.assigners is not None:
-                wm = self.assigners[shard].final_watermark()
-                out.extend(r for r in pipeline.push(wm) if isinstance(r, Record))
-            out.extend(pipeline.flush())
-            per_shard.append(out)
-        if self.obs is not None and self._shard_obs is not None:
-            self.obs.fold(
-                [
-                    self.obs.worker.harvest(
-                        shard,
-                        state,
-                        self.pipelines[shard].wall_seconds,
-                        setup_seconds=self._setup_s[shard],
-                    )
-                    for shard, state in enumerate(self._shard_obs)
-                ]
-            )
-        return merge_shard_outputs(per_shard)
-
-    def run_to_end(self, elements: Iterable[StreamElement], batch_size: int | None = None) -> list[Record]:
-        """One-shot: route + run + finish, merged into one output stream."""
-        body = self.run(elements, batch_size=batch_size)
-        return merge_shard_outputs([body, self.finish()])
-
-    def min_watermark(self) -> float:
-        """The merged stream's event-time progress: min over shard watermarks.
-
-        ``-inf`` until every shard has seen a record — a straggling shard
-        holds the merged watermark back, exactly like a lagging input
-        channel in a multi-input operator.
-        """
-        if self.assigners is None:
-            return -math.inf
-        return min(a.current_watermark() for a in self.assigners)
-
-    def wall_seconds(self) -> list[float]:
-        """Per-shard wall seconds spent inside pipeline runs (setup excluded)."""
-        return [p.wall_seconds for p in self.pipelines]
-
-    def setup_seconds(self) -> list[float]:
-        """Per-shard replica build seconds (factory + instrumentation).
-
-        Reported apart from :meth:`wall_seconds` so
-        :meth:`critical_path_speedup` compares steady-state compute —
-        startup is a one-off cost the worker-pool path amortizes away.
-        """
-        return list(self._setup_s)
-
-    def records_processed(self) -> list[int]:
-        """Per-shard record counts (the routing balance)."""
-        return [p.records_processed for p in self.pipelines]
-
-    def critical_path_speedup(self) -> float:
-        """Aggregate shard compute over the slowest shard: the speedup an
-        N-core schedule of these shards achieves (runner-independent —
-        it measures routing balance, not machine parallelism)."""
-        return critical_path_speedup(self.wall_seconds())
-
-
-def drain_sharded(
-    consumers: Sequence[Consumer],
-    sharded: ShardedPipeline,
-    batch_size: int | None = None,
-    max_messages: int | None = None,
-) -> list[Record]:
-    """Poll one consumer per shard to exhaustion through a sharded pipeline.
-
-    Each round polls every shard once and runs the batches as one
-    incremental increment — a shard merge is exactly a sequence of
-    ``flush=False`` runs, closed once by :meth:`ShardedPipeline.finish`.
-    Records are assumed already shard-routed (the consumers come from a
-    :class:`ShardedBroker`), so batches bypass the router.
-    """
-    if len(consumers) != sharded.n_shards:
-        raise ValueError(
-            f"got {len(consumers)} consumers for {sharded.n_shards} shards"
-        )
-    out: list[Record] = []
-    while True:
-        per_shard: list[list[Record]] = []
-        drained = True
-        for shard, consumer in enumerate(consumers):
-            batch = consumer.poll(max_messages)
-            if batch:
-                drained = False
-            assigner = sharded.assigners[shard] if sharded.assigners is not None else None
-            per_shard.append(
-                sharded.pipelines[shard].run(
-                    batch, watermarks=assigner, flush=False, batch_size=batch_size
-                )
-            )
-        if drained:
-            break
-        out.extend(merge_shard_outputs(per_shard))
-    out.extend(sharded.finish())
-    return out
-
-
-def _run_one_shard(
-    payload: tuple[
-        PipelineFactory, list[StreamElement], AssignerFactory | None, int | None, int, Any
-    ],
-) -> tuple[list[Record], float, Any]:
-    """Worker body of the process-parallel path: build, run, harvest.
-
-    Returns the shard's output records, its wall seconds, and — when an
-    obs worker rode along — a picklable :class:`~repro.obs.harvest.
-    ObsHarvest` of everything the shard measured, so the parent can fold
-    it instead of losing it with the process. Replica build cost is
-    timed separately and travels as the harvest's ``setup_seconds`` —
-    it must never inflate the run wall the critical-path speedup is
-    computed from.
-    """
-    factory, elements, watermark_factory, batch_size, shard, obs_worker = payload
-    t0 = perf_counter()
-    pipeline = factory()
-    shard_obs = obs_worker.setup(shard, pipeline) if obs_worker is not None else None
-    assigner = watermark_factory() if watermark_factory is not None else None
-    setup_s = perf_counter() - t0
-    out = pipeline.run(elements, watermarks=assigner, flush=True, batch_size=batch_size)
-    harvest = (
-        obs_worker.harvest(shard, shard_obs, pipeline.wall_seconds, setup_seconds=setup_s)
-        if obs_worker is not None
-        else None
-    )
-    return out, pipeline.wall_seconds, harvest
-
-
-def run_sharded(
-    factory: PipelineFactory,
-    elements: Iterable[StreamElement],
-    n_shards: int,
-    watermark_factory: AssignerFactory | None = None,
-    batch_size: int | None = None,
-    parallel: bool = False,
-    processes: int | None = None,
-    obs: Any = None,
-    pool: Any = None,
-) -> list[Record]:
-    """One-shot sharded execution of a bounded stream; returns merged output.
-
-    ``parallel=False`` with ``pool=None`` (the default, and the
-    determinism oracle) runs the shards sequentially in-process via
-    :class:`ShardedPipeline`. ``parallel=True`` forks one worker per
-    shard with ``multiprocessing`` — shards share nothing, so the merged
-    output is identical; ``factory`` and ``watermark_factory`` must then
-    be module-level callables and the record values picklable. With
-    ``n_shards=1`` both paths reduce to the plain unsharded
-    :meth:`Pipeline.run`.
-
-    ``pool`` takes a persistent :class:`~repro.streams.workers.
-    ShardWorkerPool` whose long-lived worker processes already hold the
-    shard replicas: the one-shot run becomes run + finish + reset, so
-    repeated calls amortize fork and replica-build cost. The pool must
-    have been built from the same factories and shard count — the merged
-    output is byte-identical to the sequential oracle either way.
-
-    ``obs`` takes a duck-typed observability plane (see module comment;
-    concretely :class:`repro.obs.harvest.ShardedObsPlane`): both paths
-    instrument each shard replica, harvest its metrics/events/traces and
-    fold them into the plane's parent-side registry — including each
-    shard's wall seconds as ``shard.<i>.wall_s``, so the critical-path
-    speedup is computable on the parallel path too. A pool folds into
-    its *own* plane, so ``obs`` and ``pool`` are mutually exclusive.
-    """
-    if pool is not None:
-        if pool.n_shards != n_shards:
-            raise ValueError(
-                f"pool has {pool.n_shards} shards, run_sharded asked for {n_shards}"
-            )
-        if obs is not None:
-            raise ValueError(
-                "pass the obs plane to ShardWorkerPool(obs=...), not alongside pool="
-            )
-        body = pool.run(elements, batch_size=batch_size)
-        tail = pool.finish()
-        pool.reset()
-        return merge_shard_outputs([body, tail])
-    if not parallel:
-        sharded = ShardedPipeline(
-            factory, n_shards, watermark_factory=watermark_factory, obs=obs
-        )
-        return sharded.run_to_end(elements, batch_size=batch_size)
-    import multiprocessing
-
-    routed = ShardRouter(n_shards).route(elements)
-    obs_worker = obs.worker if obs is not None else None
-    payloads = [
-        (factory, shard_elements, watermark_factory, batch_size, shard, obs_worker)
-        for shard, shard_elements in enumerate(routed)
-    ]
-    with multiprocessing.Pool(processes=processes or n_shards) as pool:
-        results = pool.map(_run_one_shard, payloads)
-    if obs is not None:
-        obs.fold([harvest for _, _, harvest in results if harvest is not None])
-    return merge_shard_outputs([out for out, _, _ in results])

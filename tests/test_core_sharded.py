@@ -78,7 +78,7 @@ class TestShardEquivalence:
             shard = sharded.shard_for(fix.entity_id)
             assert shard == sharded.shard_for(fix.entity_id)
         # Every raw fix landed on the shard its entity hashes to.
-        per_shard_raw = [s.report.raw_fixes for s in sharded.shards]
+        per_shard_raw = [s.layer.report.raw_fixes for s in sharded.shards]
         assert sum(per_shard_raw) == len(fixes)
 
     def test_global_proximity_sees_cross_shard_pairs(self, fixes):
@@ -172,7 +172,7 @@ class TestHarvestFold:
             sharded.run(list(fixes))
             merged = sharded.metrics.counters()
             for i, shard in enumerate(sharded.shards):
-                for name, value in shard.metrics.counters().items():
+                for name, value in shard.layer.metrics.counters().items():
                     assert merged.get(f"shard.{i}.{name}", 0) == value, name
         # Stateless ingest families double exactly with the input; the
         # merged family is fold (= replica sum) + the parent's own count.
@@ -279,3 +279,71 @@ class TestWorkerPoolLayer:
                 # 200-fix run: folding it into walls would be visible.
                 assert layer.metrics.gauge("shard.0.setup_s").value() > 0.0
                 assert layer.critical_path_speedup() > 0.0
+
+
+class TestCumulativeReport:
+    """The layer report counts every run, global stages included, like the
+    plain layer's: over chunked runs it must agree with the merged topics."""
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        from repro.cep import symbol_sequence, turn_event_stream
+        from repro.datasources import fishing_vessel_stream
+        from repro.synopses import SynopsesConfig, SynopsesGenerator
+
+        cfg = dict(
+            synopses=SynopsesConfig(min_reemit_s=30.0),
+            proximity_space_m=500_000.0,
+            proximity_time_s=3600.0,
+        )
+        train = fishing_vessel_stream(seed=9, duration_s=8 * 3600.0, report_period_s=20.0)
+        gen = SynopsesGenerator(cfg["synopses"])
+        points = list(gen.process_stream(train)) + gen.flush()
+        symbols = symbol_sequence(turn_event_stream(points))
+        fleet = list(AISSimulator(n_vessels=6, seed=5).fixes(0.0, 4 * 3600.0))
+        fishing = fishing_vessel_stream(seed=21, duration_s=4 * 3600.0, report_period_s=20.0)
+        stream = sorted(fleet + fishing, key=lambda f: (f.t, f.entity_id))
+        return cfg, symbols, stream
+
+    @pytest.mark.parametrize("n_shards", [1, 2])
+    def test_report_matches_merged_topics_over_chunked_runs(self, setup, n_shards):
+        cfg, symbols, stream = setup
+        layer = ShardedRealtimeLayer(
+            SystemConfig(n_shards=n_shards, **cfg), cep_training_symbols=symbols
+        )
+        bounds = [0, len(stream) // 3, 2 * len(stream) // 3, len(stream)]
+        for lo, hi in zip(bounds, bounds[1:]):
+            report = layer.run(stream[lo:hi])
+        assert report is layer.report
+        assert report.raw_fixes == len(stream)
+        assert report.proximity_links > 0 and report.cep_detections > 0
+        assert report.links == layer.broker.topic(TOPIC_LINKS).size()
+        assert report.cep_detections == layer.broker.topic(TOPIC_EVENTS).size()
+
+
+class TestPooledWorkerFault:
+    @pytest.mark.parametrize("victim", [0, 1])
+    def test_killed_worker_surfaces_on_next_run_and_close_reaps(self, fixes, victim):
+        """A worker killed between runs fails the next run with its shard
+        id; close() then reaps the surviving worker — even one left with
+        an unanswered request by the failed scatter — without hanging."""
+        import time
+
+        from repro.streams import ShardWorkerDied
+
+        layer = ShardedRealtimeLayer(SystemConfig(n_shards=2, worker_pool=True))
+        try:
+            half = len(fixes) // 2
+            layer.run(list(fixes[:half]))
+            proc = layer._hosts[victim]._proc
+            proc.kill()
+            proc.join(timeout=5.0)
+            with pytest.raises(ShardWorkerDied) as err:
+                layer.run(list(fixes[half:]))
+            assert err.value.shard == victim
+        finally:
+            start = time.perf_counter()
+            layer.close()
+            closed_s = time.perf_counter() - start
+        assert all(not host.alive() for host in layer._hosts)
+        assert closed_s < 10.0

@@ -13,12 +13,15 @@ from repro.insitu import (
     ISSUE_COORD_RANGE,
     ISSUE_DUPLICATE_TIME,
     ISSUE_IMPLIED_SPEED,
+    ISSUE_NON_FINITE,
     ISSUE_REPORTED_SPEED,
     ISSUE_TIME_ORDER,
     OnlineStats,
     QualityConfig,
     QualityReport,
+    QualityState,
     RegionIndex,
+    check_fix,
     clean_stream,
     make_stats_operator,
     stats_for_fixes,
@@ -230,3 +233,61 @@ class TestQuality:
         fixes = [fix(100.0, 0.0, 40.0, eid="a"), fix(50.0, 0.0, 40.0, eid="b")]
         out = list(clean_stream(fixes))
         assert len(out) == 2
+
+
+class TestNonFiniteFixes:
+    """A single non-finite field must be flagged, never crash or pass."""
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            dict(lat=math.inf),
+            dict(lon=-math.inf),
+            dict(t=math.nan),
+            dict(speed=math.nan),
+            dict(heading=math.inf),
+            dict(vrate=math.nan),
+            dict(alt=math.nan),
+        ],
+        ids=lambda bad: next(iter(bad)),
+    )
+    def test_flagged_and_dropped(self, bad):
+        hostile = PositionFix(**{"entity_id": "v1", "t": 10.0, "lon": 0.001, "lat": 40.0, "speed": 5.0, **bad})
+        stream = [fix(0.0, 0.0, 40.0, speed=5.0), hostile]
+        report = QualityReport()
+        out = list(clean_stream(stream, report=report))
+        assert [f.t for f in out] == [0.0]
+        assert report.flagged == {ISSUE_NON_FINITE: 1}
+
+    def test_infinite_latitude_checked_before_distance(self):
+        # With a previous fix the implied-speed check would take a
+        # haversine of an infinite latitude (math domain error).
+        state = QualityState(last_fix=fix(0.0, 0.0, 40.0))
+        issues = check_fix(fix(10.0, 0.0, math.inf), state, QualityConfig())
+        assert issues == [ISSUE_NON_FINITE]
+
+    def test_time_reversal_after_nan_time_still_flagged(self):
+        """A dropped NaN-time fix must not become the entity's baseline."""
+        stream = [fix(100.0, 0.0, 40.0), fix(math.nan, 0.0, 40.0), fix(50.0, 0.0, 40.0)]
+        report = QualityReport()
+        out = list(clean_stream(stream, report=report))
+        assert [f.t for f in out] == [100.0]
+        assert report.flagged == {ISSUE_NON_FINITE: 1, ISSUE_TIME_ORDER: 1}
+
+    def test_layer_survives_non_finite_fixes(self):
+        from repro.core import RealtimeLayer, ShardedRealtimeLayer, SystemConfig
+        from repro.datasources import AISSimulator
+
+        fixes = list(AISSimulator(n_vessels=3, seed=5).fixes(600.0))
+        eid = fixes[0].entity_id
+        hostile = [
+            fix(fixes[-1].t + 10.0, 0.0, math.inf, eid=eid),
+            fix(math.nan, 0.0, 40.0, eid=eid),
+            fix(fixes[-1].t + 20.0, 0.0, 40.0, eid=eid, speed=math.nan),
+        ]
+        stream = fixes + hostile
+        for layer in (RealtimeLayer(SystemConfig()), ShardedRealtimeLayer(SystemConfig(n_shards=2))):
+            report = layer.run(list(stream))
+            assert report.raw_fixes == len(stream)
+            assert report.quality.flagged.get(ISSUE_NON_FINITE) == 3
+            assert report.clean_fixes + report.quality.dropped == len(stream)
