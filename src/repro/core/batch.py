@@ -27,7 +27,13 @@ from .config import SystemConfig, TOPIC_CLEAN, TOPIC_SYNOPSES
 
 @dataclass
 class BatchReport:
-    """What one batch run produced."""
+    """What the batch layer has ingested so far (store totals, not per batch).
+
+    ``triples`` is ``len(store)``: every distinct graph triple, stored once.
+    ``anchored_subjects`` sums each load's newly anchored subjects, i.e. the
+    subjects in the store with a spatio-temporal position. The per-load
+    counts stay on :class:`repro.kgstore.LoadReport`.
+    """
 
     synopsis_points: int = 0
     triples: int = 0
@@ -87,11 +93,12 @@ class BatchLayer:
             self._points.extend(points)
             if points:
                 with self._time("batch.rdfize_latency_s"):
-                    triples = list(synopses_rdfizer(points).triples())
-                    self.graph.add_all(triples)
-                load: LoadReport = self.store.load(list(self.graph))
-                self.report.triples = load.triples
-                self.report.anchored_subjects = load.anchored_subjects
+                    # Only the triples the graph did not hold yet, in rdfizer
+                    # order: the store is append-only.
+                    new = [t for t in synopses_rdfizer(points).triples() if self.graph.add(t)]
+                load: LoadReport = self.store.load(new)
+                self.report.triples = len(self.store)
+                self.report.anchored_subjects += load.anchored_subjects
         if self.registry is not None:
             self.registry.counter("batch.synopsis_points").inc(len(points))
             self.registry.counter("batch.ingests").inc()

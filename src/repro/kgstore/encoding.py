@@ -58,10 +58,7 @@ class Dictionary:
         existing = self._term_to_id.get(term)
         if existing is not None:
             return existing
-        if position is None:
-            slot = 0
-        else:
-            slot = self.st_grid.cell_id(position.lon, position.lat, position.t) + 1
+        slot = self.slot_for(position)
         serial = self._next_serial.get(slot, 0)
         if serial > _SERIAL_MASK:
             raise DictionaryFullError(f"st slot {slot} exhausted its {_SERIAL_MASK + 1} serials")
@@ -70,6 +67,12 @@ class Dictionary:
         self._term_to_id[term] = term_id
         self._id_to_term[term_id] = term
         return term_id
+
+    def slot_for(self, position: STPosition | None) -> int:
+        """The ST slot an id minted at ``position`` carries (0 = none)."""
+        if position is None:
+            return 0
+        return self.st_grid.cell_id(position.lon, position.lat, position.t) + 1
 
     def lookup(self, term: Term) -> int | None:
         """The id of a term if already encoded."""

@@ -180,14 +180,20 @@ class PropertyTable:
         self._rows: dict[int, dict[int, int]] = {}
         self._overflow: list[EncodedTriple] = []
         self._size = 0
-        if isinstance(triples, TripleColumns):
-            triples = zip(triples.s.tolist(), triples.p.tolist(), triples.o.tolist())
-        for s, p, o in triples:
+        self.extend(_as_columns(triples))
+
+    def extend(self, cols: TripleColumns) -> None:
+        """Append a batch of encoded triples in place (the growing-store path).
+
+        Rows keep their first-insertion order, so extending by a batch
+        leaves the table identical to one built over the concatenation.
+        """
+        for s, p, o in zip(cols.s.tolist(), cols.p.tolist(), cols.o.tolist()):
             row = self._rows.setdefault(s, {})
             if p in row:
                 self._overflow.append((s, p, row[p]))
             row[p] = o
-            self._size += 1
+        self._size += len(cols)
         # Columnar star-scan view, built lazily: subjects in row-insertion
         # order plus one dense (present, object) column pair per predicate.
         self._subjects_arr: np.ndarray | None = None

@@ -52,7 +52,7 @@ class LoadReport:
 
     triples: int = 0            # triples in the batch just loaded
     subjects: int = 0           # distinct subjects in the batch just loaded
-    anchored_subjects: int = 0  # batch subjects with a spatio-temporal position
+    anchored_subjects: int = 0  # subjects this batch gave their first spatio-temporal position
 
 
 class KGStore:
@@ -89,6 +89,14 @@ class KGStore:
         self.registry = registry
         self._layout = None
         self._positions: dict[int, STPosition] = {}   # subject id -> exact anchor
+        # Each subject's latest asWKT and timestamp values: its anchor halves,
+        # which may arrive in different loads.
+        self._wkt_of: dict[Term, str] = {}
+        self._t_of: dict[Term, float] = {}
+        # Anchored ids whose embedded slot is not their anchor's cell (the id
+        # was minted before the anchor was complete, or the anchor moved).
+        # Slot pruning cannot vouch for them, so pushdown always keeps them.
+        self._misfiled: set[int] = set()
         #: The store's triples as growing numpy columns (the columnar truth).
         self._cols = TripleColumns.empty()
         # Anchors as parallel (id, lon, lat, t) arrays sorted by id, built
@@ -98,51 +106,60 @@ class KGStore:
     # -- loading ---------------------------------------------------------------
 
     def load(self, triples: Iterable[Triple]) -> LoadReport:
-        """Encode and store a triple batch (rebuilds the layout)."""
+        """Encode a triple batch and append it to the store.
+
+        Loads are append-only: the batch is encoded once, appended to the
+        columns and the layout (the property table grows in place). A batch
+        should hold triples not loaded before; a repeat is stored again.
+        """
         start = time.perf_counter()
         batch = list(triples)
-        # Pass 1: find each subject's spatio-temporal anchor (asWKT + timestamp).
-        wkt_by_subject: dict[Term, str] = {}
-        t_by_subject: dict[Term, float] = {}
+        # Pass 1: fold the batch's asWKT / timestamp values into each
+        # subject's anchor halves (the last value seen wins).
+        touched: dict[Term, None] = {}
         for tr in batch:
             if tr.p == VOC.asWKT and isinstance(tr.o, Literal) and tr.o.value.lstrip().upper().startswith("POINT"):
-                wkt_by_subject[tr.s] = tr.o.value
+                self._wkt_of[tr.s] = tr.o.value
+                touched[tr.s] = None
             elif tr.p == VOC.timestamp and isinstance(tr.o, Literal):
                 try:
-                    t_by_subject[tr.s] = float(tr.o.value)
+                    self._t_of[tr.s] = float(tr.o.value)
                 except ValueError:
                     # reprolint: disable=hygiene — a non-numeric timestamp
                     # literal simply fails to anchor this subject; the triple
                     # itself is still stored below.
-                    pass
-        anchors: dict[Term, STPosition] = {}
-        for subject, wkt in wkt_by_subject.items():
-            t = t_by_subject.get(subject)
-            if t is None:
+                    continue
+                touched[tr.s] = None
+
+        # Pass 2: mint every anchored subject's id before any other term, so
+        # a node first met as an object (a trajectory's hasSemanticNode) still
+        # carries its cell, whatever order the triples arrive in.
+        report = LoadReport()
+        dictionary = self.dictionary
+        for subject in touched:
+            wkt = self._wkt_of.get(subject)
+            t = self._t_of.get(subject)
+            if wkt is None or t is None:
                 continue
             point = parse_point(wkt)
-            anchors[subject] = STPosition(point.lon, point.lat, t)
+            anchor = STPosition(point.lon, point.lat, t)
+            known = dictionary.lookup(subject) is not None
+            s_id = dictionary.encode(subject, anchor)
+            if s_id not in self._positions:
+                report.anchored_subjects += 1
+            self._positions[s_id] = anchor
+            if known and Dictionary.st_slot_of(s_id) != dictionary.slot_for(anchor):
+                self._misfiled.add(s_id)
+            else:
+                self._misfiled.discard(s_id)
 
-        # Pass 2: encode with anchored subject ids, into columnar batch buffers.
-        report = LoadReport()
-        seen_subjects: set[int] = set()
-        anchored_subjects: set[int] = set()
-        s_ids: list[int] = []
-        p_ids: list[int] = []
-        o_ids: list[int] = []
-        for tr in batch:
-            anchor = anchors.get(tr.s)
-            s_id = self.dictionary.encode(tr.s, anchor)
-            s_ids.append(s_id)
-            p_ids.append(self.dictionary.encode(tr.p))
-            o_ids.append(self.dictionary.encode(tr.o))
-            seen_subjects.add(s_id)
-            if anchor is not None:
-                anchored_subjects.add(s_id)
-                self._positions[s_id] = anchor
+        # Pass 3: encode the batch into columnar buffers.
+        encode = dictionary.encode
+        s_ids = [encode(tr.s) for tr in batch]
+        p_ids = [encode(tr.p) for tr in batch]
+        o_ids = [encode(tr.o) for tr in batch]
         report.triples = len(batch)
-        report.subjects = len(seen_subjects)
-        report.anchored_subjects = len(anchored_subjects)
+        report.subjects = len(set(s_ids))
         batch_cols = TripleColumns(
             np.asarray(s_ids, dtype=np.int64),
             np.asarray(p_ids, dtype=np.int64),
@@ -150,7 +167,10 @@ class KGStore:
         )
         self._cols = self._cols.concat(batch_cols)
         self._anchor_arrays_cache = None
-        self._layout = LAYOUTS[self.layout_name](self._cols, n_partitions=self.n_partitions)
+        if isinstance(self._layout, PropertyTable):
+            self._layout.extend(batch_cols)
+        else:
+            self._layout = LAYOUTS[self.layout_name](self._cols, n_partitions=self.n_partitions)
         if self.registry is not None:
             self.registry.counter("kg.triples_loaded").inc(len(batch))
             self.registry.counter("kg.loads").inc()
@@ -218,6 +238,17 @@ class KGStore:
     def _slots_for(self, st: STConstraint) -> set[int]:
         return self.dictionary.ids_for_range(st.bbox, st.t_min, st.t_max)
 
+    def _passes_pruning(self, s_id: int, slots: set[int]) -> bool:
+        """Whether the id-level slot filter keeps a candidate subject."""
+        return Dictionary.id_matches_slots(s_id, slots) or s_id in self._misfiled
+
+    def _pruning_mask(self, s_ids: np.ndarray, slot_array: np.ndarray) -> np.ndarray:
+        """Vectorized :meth:`_passes_pruning`: one keep-flag per subject id."""
+        keep = Dictionary.ids_match_slots(s_ids, slot_array)
+        if self._misfiled:
+            keep |= np.isin(s_ids, np.fromiter(self._misfiled, dtype=np.int64, count=len(self._misfiled)))
+        return keep
+
     def _star_rows(self, query: StarQuery, metrics: QueryMetrics, pushdown: bool) -> dict[int, list[int]]:
         """Candidate star rows: subject id -> object id per arm."""
         arms = self._resolve_arms(query)
@@ -230,7 +261,7 @@ class KGStore:
             predicate_ids = [p for p, _ in arms]
             for s_id, objs in self._layout.star_scan(predicate_ids):
                 metrics.join_rows += 1
-                if slots is not None and not Dictionary.id_matches_slots(s_id, slots):
+                if slots is not None and not self._passes_pruning(s_id, slots):
                     continue
                 if any(fixed is not None and objs[i] != fixed for i, (_, fixed) in enumerate(arms)):
                     continue
@@ -246,7 +277,7 @@ class KGStore:
             for part in self._layout.scan_predicate(p_id):
                 metrics.join_rows += len(part)
                 for s_id, o_id in zip(part.s.tolist(), part.o.tolist()):
-                    if slots is not None and not Dictionary.id_matches_slots(s_id, slots):
+                    if slots is not None and not self._passes_pruning(s_id, slots):
                         continue
                     if fixed is not None and o_id != fixed:
                         continue
@@ -285,7 +316,7 @@ class KGStore:
             metrics.join_rows += len(subjects)
             keep = np.ones(len(subjects), dtype=bool)
             if slot_array is not None:
-                keep &= Dictionary.ids_match_slots(subjects, slot_array)
+                keep &= self._pruning_mask(subjects, slot_array)
             for i, (_, fixed) in enumerate(arms):
                 if fixed is not None:
                     keep &= objects[:, i] == fixed
@@ -304,7 +335,7 @@ class KGStore:
                 metrics.join_rows += len(part)
                 s_col, o_col = part.s, part.o
                 if slot_array is not None:
-                    mask = Dictionary.ids_match_slots(s_col, slot_array)
+                    mask = self._pruning_mask(s_col, slot_array)
                     s_col, o_col = s_col[mask], o_col[mask]
                 if fixed is not None:
                     mask = o_col == fixed

@@ -1,8 +1,17 @@
 """Integration tests: the full Figure-2 pipeline, end to end."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.core import DatacronSystem, SystemConfig, TOPIC_LINKS, TOPIC_SYNOPSES
+from repro.kgstore import STConstraint, star
+from repro.rdf import A, VOC, var
 from repro.datasources import AISConfig, AISSimulator, fishing_vessel_stream
 from repro.cep import symbol_sequence, turn_event_stream
 from repro.synopses import SynopsesGenerator
@@ -118,3 +127,67 @@ class TestCEPIntegration:
         run = system.run(iter(test_fixes))
         assert run.realtime.cep_detections > 0
         assert run.realtime.cep_forecasts > 0
+
+
+def polled_system(n_vessels: int = 30, polls: int = 4) -> DatacronSystem:
+    """A system fed one simulated hour per poll (one batch ingest each)."""
+    config = SystemConfig(n_regions=20, n_ports=8, seed=11)
+    system = DatacronSystem(config, t_origin=0.0, t_extent_s=polls * 3600.0)
+    sim = AISSimulator(n_vessels=n_vessels, bbox=config.bbox, seed=5, config=AISConfig(report_period_s=30.0))
+    fixes = list(sim.fixes(0.0, polls * 3600.0))
+    for k in range(polls):
+        system.run([f for f in fixes if k * 3600.0 <= f.t < (k + 1) * 3600.0])
+    return system
+
+
+#: Prints a polled system's whole-range node rows, in query order, as JSON.
+_NODE_ROWS_SCRIPT = """
+import json
+from tests.test_core_integration import polled_system
+system = polled_system(n_vessels=12, polls=3)
+rows = system.batch.nodes_in_range(system.config.bbox, 0.0, 3 * 3600.0)
+print(json.dumps([[str(r["node"]), str(r["t"]), str(r["kind"])] for r in rows]))
+"""
+
+
+class TestIncrementalBatchIngest:
+    @pytest.fixture(scope="class")
+    def system(self):
+        return polled_system()
+
+    def test_store_holds_each_graph_triple_once(self, system):
+        batch = system.batch
+        assert system.metrics.counters("batch.ingests")["batch.ingests"] == 4
+        assert len(batch.store) == len(batch.graph)
+        assert batch.report.triples == len(batch.graph)
+        assert system.metrics.counters("kg.triples_loaded")["kg.triples_loaded"] == len(batch.graph)
+
+    def test_anchored_subjects_is_the_store_total(self, system):
+        nodes = {t.s for t in system.batch.graph.match(None, A, VOC.SemanticNode)}
+        assert system.batch.report.anchored_subjects == len(nodes)
+
+    def test_every_node_found_and_pushdown_equals_postfilter(self, system):
+        batch = system.batch
+        nodes = {t.s for t in batch.graph.match(None, A, VOC.SemanticNode)}
+        whole = STConstraint(system.config.bbox, 0.0, 4 * 3600.0)
+        query = star("node", (A, VOC.SemanticNode), (VOC.timestamp, var("t")), (VOC.eventType, var("kind")), st=whole)
+        pushed, _ = batch.store.execute(query, pushdown=True)
+        post, _ = batch.store.execute(query, pushdown=False)
+        assert pushed == post
+        assert {b["node"] for b in pushed} == nodes
+        assert len(batch.nodes_in_range(system.config.bbox, 0.0, 4 * 3600.0)) == len(nodes)
+
+    def test_query_rows_do_not_depend_on_hash_seed(self):
+        root = Path(repro.__file__).resolve().parents[2]
+        outputs = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = os.pathsep.join([str(root / "src"), str(root)])
+            proc = subprocess.run(
+                [sys.executable, "-c", _NODE_ROWS_SCRIPT],
+                capture_output=True, text=True, cwd=root, env=env, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(json.loads(proc.stdout))
+        assert outputs[0], "the query found no nodes"
+        assert outputs[0] == outputs[1]

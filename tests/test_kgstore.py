@@ -1,5 +1,7 @@
 """Tests for the knowledge-graph store: encoding, layouts, star queries."""
 
+import random
+
 import pytest
 
 from repro.datasources import AISConfig, AISSimulator
@@ -14,7 +16,9 @@ from repro.kgstore import (
     VerticalPartitioning,
     star,
 )
-from repro.rdf import A, IRI, Literal, VOC, var
+from repro.kgstore.layouts import TripleColumns
+from repro.obs import MetricsRegistry
+from repro.rdf import A, IRI, Literal, Triple, VOC, var
 from repro.synopses import SynopsesGenerator
 from repro.rdf.rdfizers import synopses_rdfizer
 
@@ -108,9 +112,29 @@ class TestLayouts:
         with pytest.raises(ValueError):
             TriplesTable(TRIPLES, n_partitions=0)
 
+    @pytest.mark.parametrize("cut", [0, 1, 3, 5])
+    def test_property_table_extend_equals_build(self, cut):
+        grown = PropertyTable(TRIPLES[:cut])
+        grown.extend(TripleColumns.from_triples([*TRIPLES[cut:], (1, 10, 105)]))
+        built = PropertyTable([*TRIPLES, (1, 10, 105)])
+        assert len(grown) == len(built)
+        assert list(grown.subjects()) == list(built.subjects())
+        assert [grown.row(s) for s in grown.subjects()] == [built.row(s) for s in built.subjects()]
+        got_s, got_o = grown.star_scan_arrays([10, 11])
+        want_s, want_o = built.star_scan_arrays([10, 11])
+        assert got_s.tolist() == want_s.tolist() and got_o.tolist() == want_o.tolist()
 
-def build_store(layout="property_table"):
-    """A store loaded with synopsis triples from a small simulated fleet."""
+    def test_property_table_extend_resets_column_cache(self):
+        layout = PropertyTable(TRIPLES)
+        before, _ = layout.star_scan_arrays([10])
+        layout.extend(TripleColumns.from_triples([(4, 10, 106)]))
+        after, objs = layout.star_scan_arrays([10])
+        assert before.tolist() == [1, 2]
+        assert after.tolist() == [1, 2, 4] and objs[:, 0].tolist() == [100, 102, 106]
+
+
+def synopsis_triples():
+    """Synopsis triples (rdfizer order) from a small simulated fleet."""
     sim = AISSimulator(
         n_vessels=6, bbox=BOX, seed=3,
         config=AISConfig(report_period_s=30.0, gap_probability_per_hour=0.0, outlier_probability=0.0),
@@ -118,7 +142,12 @@ def build_store(layout="property_table"):
     gen = SynopsesGenerator()
     points = list(gen.process_stream(sim.fixes(0.0, 2 * 3600.0)))
     points += gen.flush()
-    triples = list(synopses_rdfizer(points).triples())
+    return list(synopses_rdfizer(points).triples()), points
+
+
+def build_store(layout="property_table"):
+    """A store loaded with synopsis triples from a small simulated fleet."""
+    triples, points = synopsis_triples()
     store = KGStore(BOX, t_origin=0.0, t_extent_s=2 * 3600.0, layout=layout, grid_cols=16, grid_rows=16, t_slots=8)
     report = store.load(triples)
     return store, report, points
@@ -206,6 +235,94 @@ class TestKGStore:
         comparison = store.compare_plans(q, repeat=2)
         assert comparison["baseline_s"] > 0
         assert comparison["pushdown_s"] > 0
+
+
+NODE = IRI("http://example.org/node/0")
+TRAJECTORY = IRI("http://example.org/trajectory/0")
+NODE_TRIPLES = [
+    Triple(NODE, A, VOC.SemanticNode),
+    Triple(NODE, VOC.timestamp, Literal.of(1800.0)),
+    Triple(NODE, VOC.asWKT, Literal("POINT (5.5 5.5)")),
+]
+
+
+FIRST_HOUR = STConstraint(BOX, 0.0, 3600.0)
+
+
+def node_query(st=None):
+    return star("node", (A, VOC.SemanticNode), (VOC.timestamp, var("t")), st=st)
+
+
+class TestLoadOrderIndependence:
+    """Pushdown must not lose a node because of the order its triples came in."""
+
+    def _store(self, layout="property_table", registry=None):
+        return KGStore(BOX, t_origin=0.0, t_extent_s=3600.0, layout=layout,
+                       grid_cols=8, grid_rows=8, t_slots=4, registry=registry)
+
+    @pytest.mark.parametrize("vectorized", [True, False])
+    def test_node_first_seen_as_object_keeps_its_cell(self, vectorized):
+        store = self._store()
+        store.load([Triple(TRAJECTORY, VOC.hasSemanticNode, NODE), *NODE_TRIPLES])
+        node_id = store.dictionary.lookup(NODE)
+        assert store.dictionary.st_cell_of(node_id) == store.dictionary.st_grid.cell_id(5.5, 5.5, 1800.0)
+        pushed, _ = store.execute(node_query(FIRST_HOUR), pushdown=True, vectorized=vectorized)
+        assert [b["node"] for b in pushed] == [NODE]
+
+    @pytest.mark.parametrize("vectorized", [True, False])
+    @pytest.mark.parametrize("layout", ["property_table", "triples_table", "vertical_partitioning"])
+    def test_anchor_completed_by_a_later_load(self, layout, vectorized):
+        """The id is minted (slot 0) before its anchor is known; pushdown
+        still keeps the node once a later load completes the anchor."""
+        store = self._store(layout)
+        store.load([Triple(TRAJECTORY, VOC.hasSemanticNode, NODE), NODE_TRIPLES[0], NODE_TRIPLES[2]])
+        report = store.load([NODE_TRIPLES[1]])
+        assert report.anchored_subjects == 1
+        for pushdown in (True, False):
+            rows, _ = store.execute(node_query(FIRST_HOUR), pushdown=pushdown, vectorized=vectorized)
+            assert [b["node"] for b in rows] == [NODE]
+        far = STConstraint(BBox(0.0, 0.0, 1.0, 1.0), 0.0, 3600.0)
+        rows, _ = store.execute(node_query(far), pushdown=True, vectorized=vectorized)
+        assert rows == []
+
+    def _chunked_store(self, triples, k, layout, registry=None):
+        store = KGStore(BOX, t_origin=0.0, t_extent_s=2 * 3600.0, layout=layout,
+                        grid_cols=16, grid_rows=16, t_slots=8, registry=registry)
+        size = -(-len(triples) // k)
+        for i in range(0, len(triples), size):
+            store.load(triples[i:i + size])
+        return store
+
+    @pytest.mark.parametrize("order", ["rdfizer", "shuffled"])
+    @pytest.mark.parametrize("layout", ["property_table", "triples_table", "vertical_partitioning"])
+    def test_chunked_loads_equal_one_load(self, layout, order):
+        triples, _ = synopsis_triples()
+        if order == "shuffled":
+            triples = list(triples)
+            random.Random(0).shuffle(triples)
+        queries = [
+            node_query(),
+            node_query(STConstraint(BOX, 0.0, 2 * 3600.0)),
+            node_query(STConstraint(BBox(2.0, 2.0, 8.0, 8.0), 600.0, 5400.0)),
+        ]
+        results = {}
+        for k in (1, 2, 5):
+            registry = MetricsRegistry()
+            store = self._chunked_store(triples, k, layout, registry)
+            assert len(store) == len(triples)
+            assert registry.gauges("kg.triples_stored") == {"kg.triples_stored": len(store)}
+            got = []
+            for query in queries:
+                for pushdown in (True, False):
+                    for vectorized in (True, False):
+                        rows, _ = store.execute(query, pushdown=pushdown, vectorized=vectorized)
+                        got.append({tuple(binding_key(b)) for b in rows})
+            # Pushdown and post-filter, scalar and vectorized, all agree.
+            for i in range(0, len(got), 4):
+                assert got[i] == got[i + 1] == got[i + 2] == got[i + 3]
+            results[k] = got
+        assert results[1] == results[2] == results[5]
+        assert results[1][4]  # the whole-range query finds nodes
 
 
 class TestSTConstraint:
