@@ -29,6 +29,15 @@ process (``worker_pool=True``, hosted by
 so one code path records, folds and merges them; the in-process layer is
 the determinism oracle for the pooled one.
 
+The replica boundary is slim in both directions. A run request carries
+the shard's sub-stream as one columnar :class:`FixFrame`, not a list of
+pickled fixes. The response carries only what the parent lacks: the
+synopses, links and events records, one ingest wall stamp per routed
+fix, and the positions cleaning dropped. The parent already holds every
+routed fix, so it rebuilds the raw and clean topic records itself — one
+shared :class:`~repro.streams.Record` per fix, since a fix's raw and
+clean records are equal — instead of receiving a pickled copy of each.
+
 Observability: each shard's counters surface as ``shard.<i>.*`` gauges
 on the layer-wide registry, next to a ``shard.count`` and a
 ``shard.balance`` gauge (slowest-shard share of the aggregate work —
@@ -39,7 +48,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from time import perf_counter, time as wall_clock
-from typing import Any, Iterable
+from typing import Any, Iterable, Sequence
+
+import numpy as np
 
 from ..cep import TURN_ALPHABET, WayebEngine, north_to_south_reversal, turn_event_stream
 from ..geo import PositionFix
@@ -81,6 +92,118 @@ from .config import (
 from .realtime import RealtimeLayer, RealtimeReport
 
 _ALL_TOPICS = (TOPIC_RAW, TOPIC_CLEAN, TOPIC_SYNOPSES, TOPIC_LINKS, TOPIC_EVENTS)
+#: The topics a replica ships back; the parent rebuilds raw and clean.
+_SHIPPED_TOPICS = (TOPIC_SYNOPSES, TOPIC_LINKS, TOPIC_EVENTS)
+
+
+def _float_column(values: list[float]) -> bytes:
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+def _floats(column: bytes) -> list[float]:
+    return np.frombuffer(column, dtype=np.float64).tolist()
+
+
+def _dictionary_code(values: list[str]) -> tuple[tuple[str, ...], bytes]:
+    """Distinct values in first-seen order plus one uint32 code per value."""
+    table: dict[str, int] = {}
+    codes = [table.setdefault(v, len(table)) for v in values]
+    return tuple(table), np.asarray(codes, dtype=np.uint32).tobytes()
+
+
+def _decode_dictionary(table: tuple[str, ...], codes: bytes) -> list[str]:
+    return [table[c] for c in np.frombuffer(codes, dtype=np.uint32).tolist()]
+
+
+@dataclass(frozen=True, slots=True)
+class FixFrame:
+    """A list of :class:`PositionFix` as one struct-of-arrays frame.
+
+    What a shard run request carries across the replica boundary. Float
+    fields are raw float64 bytes, so NaN, ±inf and −0.0 survive bit-exact.
+    The optional kinematic fields (``speed``, ``heading``, ``vrate``) add
+    the positions that were ``None``, which decode back to ``None``.
+    ``entity_id`` and ``source`` are dictionary-coded: a table of
+    distinct strings plus one uint32 code per fix. ``annotations`` holds
+    each fix's annotation dict, in order.
+
+    :meth:`decode` returns new, distinct fix objects equal to the encoded
+    ones (the same object encoded twice decodes to two objects). An int
+    given for a float field comes back as a float.
+    """
+
+    t: bytes
+    lon: bytes
+    lat: bytes
+    alt: bytes
+    speed: bytes
+    speed_none: tuple[int, ...]
+    heading: bytes
+    heading_none: tuple[int, ...]
+    vrate: bytes
+    vrate_none: tuple[int, ...]
+    entity_ids: tuple[str, ...]
+    entity_codes: bytes
+    sources: tuple[str, ...]
+    source_codes: bytes
+    annotations: tuple[dict, ...]
+
+    @classmethod
+    def encode(cls, fixes: Sequence[PositionFix]) -> "FixFrame":
+        def optional(values: list[float | None]) -> tuple[bytes, tuple[int, ...]]:
+            nones = tuple(i for i, v in enumerate(values) if v is None)
+            for i in nones:
+                values[i] = 0.0
+            return _float_column(values), nones
+
+        speed, speed_none = optional([f.speed for f in fixes])
+        heading, heading_none = optional([f.heading for f in fixes])
+        vrate, vrate_none = optional([f.vrate for f in fixes])
+        entity_ids, entity_codes = _dictionary_code([f.entity_id for f in fixes])
+        sources, source_codes = _dictionary_code([f.source for f in fixes])
+        return cls(
+            t=_float_column([f.t for f in fixes]),
+            lon=_float_column([f.lon for f in fixes]),
+            lat=_float_column([f.lat for f in fixes]),
+            alt=_float_column([f.alt for f in fixes]),
+            speed=speed,
+            speed_none=speed_none,
+            heading=heading,
+            heading_none=heading_none,
+            vrate=vrate,
+            vrate_none=vrate_none,
+            entity_ids=entity_ids,
+            entity_codes=entity_codes,
+            sources=sources,
+            source_codes=source_codes,
+            annotations=tuple(f.annotations for f in fixes),
+        )
+
+    def __len__(self) -> int:
+        return len(self.t) // 8
+
+    def decode(self) -> list[PositionFix]:
+        def optional(column: bytes, nones: tuple[int, ...]) -> list[float | None]:
+            values: list[float | None] = _floats(column)
+            for i in nones:
+                values[i] = None
+            return values
+
+        return [
+            PositionFix(*fields)
+            for fields in zip(
+                _decode_dictionary(self.entity_ids, self.entity_codes),
+                _floats(self.t),
+                _floats(self.lon),
+                _floats(self.lat),
+                _floats(self.alt),
+                optional(self.speed, self.speed_none),
+                optional(self.heading, self.heading_none),
+                optional(self.vrate, self.vrate_none),
+                _decode_dictionary(self.sources, self.source_codes),
+                self.annotations,
+            )
+        ]
 
 
 def _drain_all(consumer: Consumer) -> list[Record]:
@@ -114,11 +237,19 @@ class _RealtimeShardSpec:
     and :meth:`handle` directly; pooled, a
     :class:`repro.streams.workers.WorkerHost` ships the spec to its worker
     once, at spawn (only the :class:`SystemConfig` crosses the process
-    boundary), and the worker calls the same two methods. Each
-    ``("run", fixes)`` response carries the shard's cumulative report and
-    run wall, that run's new topic records (drained through
-    replica-local merge consumers, whose group offsets make repeated runs
-    see only new records) and the per-run delta :class:`~repro.obs.ObsHarvest`.
+    boundary), and the worker calls the same two methods.
+
+    A ``("run", frame)`` request carries the shard's sub-stream as a
+    :class:`FixFrame`. The response carries the shard's cumulative
+    report and run wall, the per-run delta
+    :class:`~repro.obs.ObsHarvest`, and that run's new synopses, links
+    and events records under ``"topics"`` (drained through replica-local
+    merge consumers, whose group offsets make repeated runs see only new
+    records). The raw and clean records stay behind: ``"ingest_wall_s"``
+    holds each fix's raw ingest stamp as float64 bytes, in request
+    order, and ``"dropped"`` the request positions cleaning dropped.
+    Decoded fixes are distinct objects, so mapping each drained raw and
+    clean record back to its request position by identity is exact.
     """
 
     config: SystemConfig
@@ -134,9 +265,10 @@ class _RealtimeShardSpec:
         )
 
     def handle(self, shard: int, replica: _RealtimeReplica, request: Any) -> dict[str, Any]:
-        kind, fixes = request
+        kind, frame = request
         if kind != "run":
             raise ValueError(f"unknown realtime shard request {kind!r}")
+        fixes = frame.decode()
         layer = replica.layer
         layer.run(fixes)
         wall_s = layer.metrics.gauge("realtime.wall_s").value()
@@ -150,12 +282,37 @@ class _RealtimeShardSpec:
         )
         delta = current.delta(replica.prev_harvest)
         replica.prev_harvest = current
+        consumers = replica.consumers
+        position = {id(fix): i for i, fix in enumerate(fixes)}
+        stamps = [0.0] * len(fixes)
+        for rec in _drain_all(consumers[TOPIC_RAW]):
+            stamps[position[id(rec.value)]] = rec.ingest_wall_s
+        kept = {position[id(rec.value)] for rec in _drain_all(consumers[TOPIC_CLEAN])}
         return {
             "report": layer.report,
-            "topics": {t: _drain_all(replica.consumers[t]) for t in _ALL_TOPICS},
+            "topics": {t: _drain_all(consumers[t]) for t in _SHIPPED_TOPICS},
+            "ingest_wall_s": _float_column(stamps),
+            "dropped": tuple(i for i in range(len(fixes)) if i not in kept),
             "wall_s": wall_s,
             "harvest": delta,
         }
+
+
+def _raw_and_clean(
+    fixes: list[PositionFix], response: dict[str, Any]
+) -> tuple[list[Record], list[Record]]:
+    """One shard's raw and clean topic records, rebuilt from the fixes the
+    parent routed to it. A fix's clean record equals its raw record (same
+    time, key, value and ingest stamp), so both topics share the object."""
+    raw = [
+        Record(fix.t, fix, fix.entity_id, stamp)
+        for fix, stamp in zip(fixes, _floats(response["ingest_wall_s"]))
+    ]
+    dropped = response["dropped"]
+    if not dropped:
+        return raw, raw
+    dropped = set(dropped)
+    return raw, [rec for i, rec in enumerate(raw) if i not in dropped]
 
 
 class ShardedRealtimeLayer:
@@ -296,16 +453,17 @@ class ShardedRealtimeLayer:
         routed: list[list[PositionFix]] = [[] for _ in range(self.n_shards)]
         for fix in fixes:
             routed[self.shard_for(fix.entity_id)].append(fix)
+        requests = [("run", FixFrame.encode(sub_stream)) for sub_stream in routed]
         if self._hosts is not None:
             # Scatter every frame before gathering any: the workers compute
             # concurrently and the parent waits for the slowest.
-            for host, sub_stream in zip(self._hosts, routed):
-                host.send(("run", sub_stream))
+            for host, request in zip(self._hosts, requests):
+                host.send(request)
             responses = [host.receive() for host in self._hosts]
         else:
             responses = [
-                self._spec.handle(i, replica, ("run", sub_stream))
-                for i, (replica, sub_stream) in enumerate(zip(self.shards, routed))
+                self._spec.handle(i, replica, request)
+                for i, (replica, request) in enumerate(zip(self.shards, requests))
             ]
         for i, resp in enumerate(responses):
             self._shard_reports[i] = resp["report"]
@@ -319,10 +477,13 @@ class ShardedRealtimeLayer:
             events=self.events,
             tracer=self.tracer,
         )
-        merged = {
-            topic: merge_shard_outputs([resp["topics"][topic] for resp in responses])
-            for topic in _ALL_TOPICS
+        rebuilt = [_raw_and_clean(*pair) for pair in zip(routed, responses)]
+        per_shard = {
+            TOPIC_RAW: [raw for raw, _ in rebuilt],
+            TOPIC_CLEAN: [clean for _, clean in rebuilt],
+            **{t: [resp["topics"][t] for resp in responses] for t in _SHIPPED_TOPICS},
         }
+        merged = {topic: merge_shard_outputs(per_shard[topic]) for topic in _ALL_TOPICS}
         glob = self._global
         # The merged-stream consumer is where the paper's headline number
         # lives on the sharded path: ingest wall stamp (record provenance,

@@ -6,6 +6,12 @@ byte-identical merged topic streams — the canonical ``(t, key)`` merge makes
 that hold by construction, and these tests make it load-bearing.
 """
 
+import math
+import random
+import struct
+from collections import Counter
+from dataclasses import replace
+
 import pytest
 
 from repro.core import (
@@ -19,6 +25,8 @@ from repro.core import (
     TOPIC_SYNOPSES,
 )
 from repro.datasources import AISSimulator
+from repro.geo import PositionFix
+from repro.insitu import ALL_ISSUES
 
 ALL_TOPICS = (TOPIC_RAW, TOPIC_CLEAN, TOPIC_SYNOPSES, TOPIC_LINKS, TOPIC_EVENTS)
 
@@ -347,3 +355,156 @@ class TestPooledWorkerFault:
             closed_s = time.perf_counter() - start
         assert all(not host.alive() for host in layer._hosts)
         assert closed_s < 10.0
+
+
+def _bits(value):
+    """A float as its IEEE-754 bytes (NaN payloads and -0.0 compare exactly)."""
+    return None if value is None else struct.pack("<d", value)
+
+
+def _record_content(rec):
+    value = rec.value
+    if isinstance(value, PositionFix):
+        value = (
+            value.entity_id, value.source, tuple(sorted(value.annotations.items())),
+            *(_bits(getattr(value, name)) for name in ("t", "lon", "lat", "alt", "speed", "heading", "vrate")),
+        )
+    else:
+        value = repr(value)
+    return (_bits(rec.t), rec.key, value)
+
+
+def topic_contents(layer, topic):
+    """A topic's records as a multiset of bit-exact contents."""
+    return Counter(map(_record_content, drain(layer, topic)))
+
+
+def drain(layer, topic):
+    consumer = layer.broker.consumer(topic, "test-contents")
+    records = []
+    while batch := consumer.poll():
+        records.extend(batch)
+    return records
+
+
+def hostile_stream(n_vessels=8, seed=5):
+    """A seeded AIS stream laced with fixes that cleaning must drop under
+    every ISSUE_* label: non-finite fields, out-of-range coordinates, an
+    implausible reported speed, time reversals, duplicate timestamps (as a
+    distinct object and as the very same object routed twice) and
+    teleports."""
+    base = list(AISSimulator(n_vessels=n_vessels, seed=seed).fixes(0.0, 1800.0))
+    rng = random.Random(seed)
+    out = []
+    for i, fix in enumerate(base):
+        out.append(fix)
+        kind = i % 9
+        if rng.random() > 0.3:
+            continue
+        if kind == 0:
+            field = rng.choice(["t", "lon", "lat", "alt", "speed", "heading", "vrate"])
+            out.append(replace(fix, **{field: rng.choice([math.nan, math.inf, -math.inf])}))
+        elif kind == 1:
+            out.append(replace(fix, t=fix.t - 120.0))
+        elif kind == 2:
+            out.append(replace(fix, lon=fix.lon + 0.2))
+        elif kind == 3:
+            out.append(fix)
+        elif kind == 4:
+            out.append(replace(fix, lon=fix.lon + 5.0, t=fix.t + 1.0))
+        elif kind == 5:
+            out.append(replace(fix, lat=95.0, t=fix.t + 2.0))
+        elif kind == 6:
+            out.append(replace(fix, speed=100.0, t=fix.t + 3.0))
+        elif kind == 7:
+            out.append(replace(fix, t=fix.t + 4.0, speed=-0.0, heading=None))
+    return out
+
+
+class TestHostileStreamOracle:
+    """Pooled, in-process and plain (no codec) layers agree on a stream
+    built to be dropped by every quality check, over chunked runs."""
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        stream = hostile_stream()
+        bounds = [0, len(stream) // 4, len(stream) // 2, 3 * len(stream) // 4, len(stream)]
+        chunks = [stream[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+        cfg = SystemConfig(n_shards=3)
+        plain = RealtimeLayer(cfg, enable_proximity=False)
+        in_process = ShardedRealtimeLayer(cfg, worker_pool=False)
+        with ShardedRealtimeLayer(cfg, worker_pool=True) as pooled:
+            for chunk in chunks:
+                plain.run(chunk)
+                in_process.run(chunk)
+                pooled.run(chunk)
+        return stream, plain, in_process, pooled
+
+    def test_stream_trips_every_quality_check(self, runs):
+        _, plain, _, _ = runs
+        assert set(plain.report.quality.flagged) == set(ALL_ISSUES)
+
+    @pytest.mark.parametrize("topic", [TOPIC_RAW, TOPIC_CLEAN, TOPIC_SYNOPSES])
+    def test_topic_contents_equal_across_paths(self, runs, topic):
+        _, plain, in_process, pooled = runs
+        expected = topic_contents(plain, topic)
+        assert topic_contents(in_process, topic) == expected
+        assert topic_contents(pooled, topic) == expected
+
+    def test_pooled_topics_equal_in_process_in_order(self, runs):
+        _, _, in_process, pooled = runs
+        assert topic_streams(pooled) == topic_streams(in_process)
+
+    def test_quality_counters_equal_across_paths(self, runs):
+        stream, plain, in_process, pooled = runs
+        for layer in (in_process, pooled):
+            report = layer.report
+            assert report.raw_fixes == plain.report.raw_fixes == len(stream)
+            assert report.clean_fixes == plain.report.clean_fixes
+            assert report.critical_points == plain.report.critical_points
+            assert report.quality == plain.report.quality
+
+    @pytest.mark.parametrize("path", ["in_process", "pooled"])
+    def test_raw_and_clean_records_carry_one_ingest_stamp(self, runs, path):
+        _, _, in_process, pooled = runs
+        layer = in_process if path == "in_process" else pooled
+        raw_stamps = {}
+        for rec in drain(layer, TOPIC_RAW):
+            assert rec.ingest_wall_s is not None
+            raw_stamps.setdefault(id(rec.value), []).append(rec.ingest_wall_s)
+        for rec in drain(layer, TOPIC_CLEAN):
+            assert rec.ingest_wall_s is not None
+            assert rec.ingest_wall_s in raw_stamps[id(rec.value)]
+
+
+class TestReplyFrameSize:
+    """Bytes, not timing: the pooled reply carries no raw or clean topic,
+    and its pickled size per routed fix stays under a fixed bound."""
+
+    #: Reply bytes per routed fix. The reply carries synopses, links and
+    #: events records, one float64 stamp per fix and the dropped positions;
+    #: shipping back the raw and clean records took ~170 B per fix.
+    MAX_REPLY_BYTES_PER_FIX = 40
+
+    def test_pooled_reply_is_slim(self, fixes):
+        replies, sizes = [], []
+        with ShardedRealtimeLayer(SystemConfig(n_shards=2, worker_pool=True)) as layer:
+            for host in layer._hosts:
+                conn, receive = host._conn, host.receive
+                recv_bytes = conn._recv_bytes
+
+                def counted(*args, recv_bytes=recv_bytes):
+                    buf = recv_bytes(*args)
+                    sizes.append(buf.getbuffer().nbytes)
+                    return buf
+
+                def captured(receive=receive):
+                    replies.append(receive())
+                    return replies[-1]
+
+                conn._recv_bytes, host.receive = counted, captured
+            layer.run(list(fixes))
+        assert len(replies) == 2
+        for reply in replies:
+            assert set(reply["topics"]) == {TOPIC_SYNOPSES, TOPIC_LINKS, TOPIC_EVENTS}
+        assert sum(sizes) / len(fixes) < self.MAX_REPLY_BYTES_PER_FIX

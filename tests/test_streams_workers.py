@@ -12,7 +12,9 @@ incremental runs. The pooled sharded real-time layer built on the host
 is checked against its in-process oracle in ``tests/test_core_sharded.py``.
 """
 
+import math
 import pickle
+import struct
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -21,9 +23,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import ShardedRealtimeLayer, SystemConfig
+from repro.core import (
+    TOPIC_EVENTS,
+    TOPIC_LINKS,
+    TOPIC_RAW,
+    TOPIC_SYNOPSES,
+    ShardedRealtimeLayer,
+    SystemConfig,
+)
 from repro.core.realtime import RealtimeReport
-from repro.core.sharded import _RealtimeShardSpec
+from repro.core.sharded import FixFrame, _RealtimeShardSpec
 from repro.geo import PositionFix
 from repro.obs import MetricsRegistry, fold_harvests, harvest_obs, instrument_pipeline
 from repro.obs.harvest import HistogramSnapshot, MetricsSnapshot, ObsHarvest
@@ -467,15 +476,17 @@ class TestPickleBoundaryRoundTrip:
             PositionFix(f"vessel-{i % 3}", t, 0.5 * i, 40.0, speed=5.0)
             for i, t in enumerate(ts)
         ]
-        records = [Record(f.t, f, key=f.entity_id) for f in fixes]
+        synopses = [Record(f.t, f, key=f.entity_id) for f in fixes[::2]]
         reply_payload = {
             "report": RealtimeReport(raw_fixes=len(fixes), clean_fixes=len(fixes)),
-            "topics": {"raw": records, "clean": records, "synopses": []},
+            "topics": {TOPIC_SYNOPSES: synopses, TOPIC_LINKS: [], TOPIC_EVENTS: []},
+            "ingest_wall_s": struct.pack(f"{len(fixes)}d", *ts),
+            "dropped": tuple(range(0, len(fixes), 3)),
             "wall_s": 0.25,
             "harvest": None,
         }
         frames = [
-            ("req", ("run", fixes)),
+            ("req", ("run", FixFrame.encode(fixes))),
             ("reset",),
             ("close",),
             ("ready", 0.015),
@@ -493,3 +504,143 @@ class TestPickleBoundaryRoundTrip:
         assert _bit_equal_roundtrip(cur)
         delta = cur.delta(prev)
         assert _bit_equal_roundtrip(delta)
+
+
+_FLOAT_FIELDS = ("t", "lon", "lat", "alt", "speed", "heading", "vrate")
+
+
+def _fix_bits(fix):
+    """A fix's fields with every float as its IEEE-754 bytes, so NaN
+    payloads, infinities and the sign of zero compare exactly."""
+    return (
+        fix.entity_id,
+        fix.source,
+        fix.annotations,
+        *(
+            None if getattr(fix, name) is None else struct.pack("<d", getattr(fix, name))
+            for name in _FLOAT_FIELDS
+        ),
+    )
+
+
+_any_float = st.floats(allow_nan=True, allow_infinity=True)
+_special = st.sampled_from([math.nan, -math.nan, math.inf, -math.inf, -0.0, 0.0])
+_kinematic = st.none() | _special | _any_float
+
+
+@st.composite
+def _fixes(draw):
+    entity_ids = st.sampled_from(["", "vessel-1", "ναυς-2", "船-3", "🚢"]) | st.text(max_size=6)
+    return PositionFix(
+        draw(entity_ids),
+        draw(_special | _any_float),
+        draw(_special | _any_float),
+        draw(_special | _any_float),
+        alt=draw(_special | _any_float),
+        speed=draw(_kinematic),
+        heading=draw(_kinematic),
+        vrate=draw(_kinematic),
+        source=draw(st.sampled_from(["", "ais", "radar"]) | st.text(max_size=4)),
+        annotations=draw(
+            st.just({})
+            | st.dictionaries(st.text(max_size=4), st.booleans() | st.integers(), max_size=2)
+        ),
+    )
+
+
+@st.composite
+def _streams(draw):
+    """Fix lists in which one object may appear at several positions."""
+    pool = draw(st.lists(_fixes(), max_size=8))
+    if not pool:
+        return []
+    return draw(st.lists(st.sampled_from(pool), max_size=12))
+
+
+class TestFixFrameCodec:
+    """The columnar request frame: decoding (also after a pickle round
+    trip) gives back every field bit-exact, as new and distinct objects."""
+
+    @staticmethod
+    def assert_round_trip(fixes):
+        frame = FixFrame.encode(fixes)
+        assert len(frame) == len(fixes)
+        for clone in (frame, pickle.loads(pickle.dumps(frame))):
+            decoded = clone.decode()
+            assert [_fix_bits(f) for f in decoded] == [_fix_bits(f) for f in fixes]
+            assert all(type(f.t) is float for f in decoded)
+            assert len({id(f) for f in decoded}) == len(decoded)
+            assert not {id(f) for f in decoded} & {id(f) for f in fixes}
+
+    @given(fixes=_streams())
+    @settings(max_examples=200, deadline=None)
+    def test_round_trip_is_bit_exact(self, fixes):
+        self.assert_round_trip(fixes)
+
+    def test_none_nan_inf_and_negative_zero_kinematics_stay_distinct(self):
+        values = [None, math.nan, math.inf, -math.inf, -0.0, 0.0, 3.5]
+        fixes = [
+            PositionFix("v", float(i), 1.0, 2.0, speed=v, heading=w, vrate=x)
+            for i, (v, w, x) in enumerate(zip(values, values[1:] + values[:1], values[2:] + values[:2]))
+        ]
+        self.assert_round_trip(fixes)
+        decoded = FixFrame.encode(fixes).decode()
+        assert decoded[0].speed is None and decoded[6].heading is None
+        assert math.isnan(decoded[1].speed) and decoded[2].speed == math.inf
+        assert math.copysign(1.0, decoded[4].speed) == -1.0
+        assert math.copysign(1.0, decoded[5].speed) == 1.0
+
+    def test_empty_ids_sources_and_annotations(self):
+        fixes = [
+            PositionFix("", 1.0, 2.0, 3.0),
+            PositionFix("Ωμέγα-船", 2.0, 2.0, 3.0, source=""),
+            PositionFix("", 3.0, 2.0, 3.0, source="ais", annotations={"outlier": True}),
+        ]
+        self.assert_round_trip(fixes)
+        frame = FixFrame.encode(fixes)
+        assert frame.entity_ids == ("", "Ωμέγα-船")
+        assert frame.sources == ("", "ais")
+        assert frame.annotations == ({}, {}, {"outlier": True})
+
+    def test_same_object_twice_decodes_to_two_objects(self):
+        fix = PositionFix("v", 1.0, 2.0, 3.0, speed=None, annotations={"k": 1})
+        decoded = FixFrame.encode([fix, fix]).decode()
+        assert decoded[0] is not decoded[1]
+        assert decoded[0] == decoded[1] == fix
+        assert decoded[0].annotations == decoded[1].annotations == {"k": 1}
+
+    def test_empty_sub_stream(self):
+        frame = FixFrame.encode([])
+        assert len(frame) == 0 and frame.decode() == []
+        assert _bit_equal_roundtrip(frame)
+
+    def test_replica_answers_an_empty_sub_stream(self):
+        """A shard that got no fixes in a poll still runs and answers."""
+        spec = _RealtimeShardSpec(SystemConfig(n_shards=2))
+        replica = spec.setup(0)
+        reply = spec.handle(0, replica, ("run", FixFrame.encode([])))
+        assert reply["ingest_wall_s"] == b"" and reply["dropped"] == ()
+        assert set(reply["topics"]) == {TOPIC_SYNOPSES, TOPIC_LINKS, TOPIC_EVENTS}
+        assert reply["report"].raw_fixes == 0
+
+    def test_replica_maps_records_to_request_positions(self):
+        """Stamps and drops line up with request positions, also when the
+        caller routed one object twice (its repeat is a duplicate time)."""
+        spec = _RealtimeShardSpec(SystemConfig(n_shards=2))
+        replica = spec.setup(0)
+        a = PositionFix("v", 0.0, 24.0, 37.0, speed=5.0)
+        b = PositionFix("v", 60.0, 24.001, 37.0, speed=5.0)
+        bad = PositionFix("v", 90.0, math.nan, 37.0)
+        reply = spec.handle(0, replica, ("run", FixFrame.encode([a, a, bad, b])))
+        stamps = struct.unpack("4d", reply["ingest_wall_s"])
+        assert all(s > 0.0 for s in stamps)
+        # Each position's stamp is the one on its fix's raw record.
+        raw = replica.layer.broker.consumer(TOPIC_RAW, "check").poll()
+        assert sorted((rec.value.t, rec.ingest_wall_s) for rec in raw) == sorted(
+            zip((0.0, 0.0, 90.0, 60.0), stamps)
+        )
+        assert reply["dropped"] == (1, 2)
+        assert replica.layer.report.quality.flagged == {
+            "duplicate_timestamp": 1,
+            "non_finite_field": 1,
+        }
